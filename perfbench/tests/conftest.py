@@ -1,0 +1,13 @@
+"""Make the benchmark modules and the checkout's gpcover importable.
+
+Run from the repository root:  python3 -m pytest perfbench/tests
+"""
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH)
+for path in (BENCH, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
