@@ -47,10 +47,6 @@ class Arith:
     a_min: int        # minimal shift of type alpha^a gamma: n / gcd(n, k+1)
     a_min_prime: int  # minimal shift of type alpha^a beta gamma: n / gcd(n, n-k+1)
 
-    @staticmethod
-    def b_of(i: int) -> int:
-        return two_adic(i)
-
 
 def arith(n: int, k: int) -> Arith:
     return Arith(n, k, q_value(n, k), n // gcd(n, k + 1), n // gcd(n, n - k + 1))

@@ -6,6 +6,12 @@ refinement (1-dimensional color refinement) but never trust it alone:
 automorphisms come from full backtracking and canonical forms minimize over
 a complete individualization-refinement tree, with discovered automorphisms
 used only to skip provably equivalent branches.
+
+Covering involutions come from the same backtracking engine in a pruned
+mode that applies the involution clauses at every node, so it never
+enumerates the rest of the group; each result still passes the clause
+checker in ``covers``.  Enumerating the whole group and filtering it is the
+independent route that the tests compare against.
 """
 from __future__ import annotations
 
@@ -28,10 +34,20 @@ class SearchBoundExceeded(RuntimeError):
 
 
 def vertex_bound(bound: Optional[int] = None) -> int:
+    """The explicit bound, else a positive integer from the environment,
+    else DEFAULT_VERTEX_BOUND."""
     if bound is not None:
         return bound
     env = os.environ.get(_BOUND_ENV)
-    return int(env) if env else DEFAULT_VERTEX_BOUND
+    if not env:
+        return DEFAULT_VERTEX_BOUND
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{_BOUND_ENV} must be a positive integer, got {env!r}")
+    return value
 
 
 def _check_bound(g: Graph, bound: Optional[int]) -> None:
@@ -115,14 +131,31 @@ def refine(g: Graph, p: VertexPartition) -> VertexPartition:
 # ---------------------------------------------------------------------------
 # Automorphism enumeration.
 
-def automorphisms(g: Graph, bound: Optional[int] = None) -> list[Perm]:
-    """The full automorphism group, lexicographically sorted.
+def automorphisms(
+    g: Graph,
+    bound: Optional[int] = None,
+    *,
+    involution_colors: Optional[Sequence[int]] = None,
+) -> list[Perm]:
+    """The full automorphism group, or with ``involution_colors`` only its
+    covering-involution candidates, lexicographically sorted.
 
     Backtracking over a BFS vertex order: each candidate image must respect
     the stable coloring and have, among already-used images, exactly the
     images of the already-mapped neighbors.  That bitmask equality enforces
     edge and non-edge consistency simultaneously, so leaves are exactly the
-    automorphisms.
+    automorphisms.  The search keeps its own stack, so its depth is not
+    limited by Python's recursion limit.
+
+    ``involution_colors`` gives a 0/1 side per vertex, such as
+    ``bipartition(g)``.  The candidates are the automorphisms that are
+    involutions, send every vertex to the other side, and map no vertex to
+    itself or to a neighbor.  These constraints prune every node: an image
+    must lie on the other side and outside the vertex's neighborhood, and
+    choosing u -> x also fixes x -> u.  Because the partial map is then an
+    involution on the mapped vertices, the bitmask test for u covers x's
+    edges as well, so a vertex fixed as a partner is skipped at its BFS turn
+    instead of branched on.
     """
     _check_bound(g, bound)
     n = g.vertex_count
@@ -135,6 +168,18 @@ def automorphisms(g: Graph, bound: Optional[int] = None) -> list[Perm]:
     for ci, cell in enumerate(cells):
         for v in cell:
             color[v] = ci
+
+    pairs = involution_colors is not None
+    if pairs:
+        if len(involution_colors) != n:
+            raise ValueError("involution_colors does not fit the graph")
+        # An image keeps the refinement cell and flips the side.
+        have = [2 * color[v] + involution_colors[v] for v in range(n)]
+        want = [2 * color[v] + 1 - involution_colors[v] for v in range(n)]
+    else:
+        have = want = color
+    # bit[mapping[w]] is 0 while w is unmapped (mapping[w] == -1).
+    bit = [1 << v for v in range(n)] + [0]
 
     # BFS order so every non-root vertex has an earlier neighbor.
     pos = [-1] * n
@@ -155,47 +200,69 @@ def automorphisms(g: Graph, bound: Optional[int] = None) -> list[Perm]:
     pivot = [
         next((w for w in adj[u] if pos[w] < pos[u]), -1) for u in bfs_order
     ]
+    # The neighbors that may be mapped when a vertex's turn comes: the
+    # earlier ones, or with partners also any later one.
+    mapped_nbrs = [
+        [w for w in adj[u] if pairs or pos[w] < t] for t, u in enumerate(bfs_order)
+    ]
 
     results: list[Perm] = []
     mapping = [-1] * n
     used = 0
-
-    def rec(t: int) -> None:
-        nonlocal used
+    # Images still to try at each depth; depth n is a leaf and has none.
+    untried: list[list[int]] = [[] for _ in range(n + 1)]
+    t = 0
+    while True:
+        if pairs:
+            while t < n and mapping[bfs_order[t]] >= 0:
+                t += 1
+        images = untried[t]
         if t == n:
             results.append(tuple(mapping))
-            return
-        u = bfs_order[t]
-        req = 0
-        for w in adj[u]:
-            mw = mapping[w]
-            if mw >= 0:
-                req |= 1 << mw
-        candidates = cells[color[u]] if pivot[t] < 0 else adj[mapping[pivot[t]]]
-        cu = color[u]
-        for x in candidates:
-            bx = 1 << x
-            if used & bx or color[x] != cu or masks[x] & used != req:
-                continue
-            mapping[u] = x
-            used |= bx
-            rec(t + 1)
+        else:
+            u = bfs_order[t]
+            req = 0
+            for w in mapped_nbrs[t]:
+                req |= bit[mapping[w]]
+            blocked = used | masks[u] if pairs else used
+            wu = want[u]
+            for x in cells[color[u]] if pivot[t] < 0 else adj[mapping[pivot[t]]]:
+                if not blocked & bit[x] and have[x] == wu and masks[x] & used == req:
+                    images.append(x)
+        # Back up to the deepest branching depth with an image left.  A
+        # vertex fixed as a partner has its partner earlier in BFS order.
+        while not images:
+            t -= 1
+            if t < 0:
+                return sorted(results)
+            u = bfs_order[t]
+            x = mapping[u]
+            if pairs:
+                if pos[x] < t:
+                    continue
+                mapping[x] = -1
+                used ^= bit[u]
             mapping[u] = -1
-            used &= ~bx
-
-    rec(0)
-    return sorted(results)
+            used ^= bit[x]
+            images = untried[t]
+        x = images.pop()
+        mapping[u] = x
+        used |= bit[x]
+        if pairs:
+            mapping[x] = u
+            used |= bit[u]
+        t += 1
 
 
 @lru_cache(maxsize=512)
 def _kronecker_involutions_cached(g: Graph) -> tuple[Perm, ...]:
     from .graphs import bipartition, is_connected
 
-    if g.vertex_count == 0 or bipartition(g) is None or not is_connected(g):
+    colors = bipartition(g) if g.vertex_count else None
+    if colors is None or not is_connected(g):
         return ()
-    return tuple(
-        p for p in automorphisms(g, g.vertex_count) if is_kronecker_involution(g, p)
-    )
+    candidates = automorphisms(g, g.vertex_count, involution_colors=colors)
+    return tuple(p for p in candidates if is_kronecker_involution(g, p))
 
 
 def kronecker_involutions(g: Graph, bound: Optional[int] = None) -> list[Perm]:

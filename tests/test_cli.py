@@ -161,6 +161,14 @@ class TestVerifyCommand:
         assert "checks passed" in out
         assert "(8,3)" in err  # documented note goes to stderr
 
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_oracle_bound_exit_1(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GPCOVER_ORACLE_BOUND", value)
+        code, out, err = run(capsys, "verify", "--max-n", "6")
+        assert code == 1
+        assert out == ""
+        assert "GPCOVER_ORACLE_BOUND" in err and repr(value) in err
+
 
 class TestExportCommand:
     def test_h(self, capsys):

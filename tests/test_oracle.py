@@ -1,9 +1,12 @@
 import random
+import re
+import sys
 
 import networkx as nx
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from gpcover.graphs import graph
+from gpcover.graphs import adjacency, bipartition, degrees, graph
 from gpcover.families import GpParams, gp, h_graph
 from gpcover.covers import is_kronecker_involution, kronecker_cover, quotient
 from gpcover.perms import WordTriple, compose, from_triple, identity, inverse
@@ -34,6 +37,32 @@ def nx_automorphisms(g):
 
 def relabeled(g, perm):
     return graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def side_swapping_involutions(g, colors, autos):
+    """The clauses of the pruned search, spelled out: involutions that move
+    every vertex to the other side and to a non-neighbor."""
+    adj = adjacency(g)
+    return sorted(
+        p
+        for p in autos
+        if all(
+            p[p[x]] == x and colors[p[x]] != colors[x] and p[x] not in adj[x]
+            for x in range(g.vertex_count)
+        )
+    )
+
+
+@st.composite
+def relabeled_small_graphs(draw):
+    """A graph on at most 6 vertices, at most one of them isolated so that
+    its cover's group stays small, and a relabeling of its vertices."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = graph(n, edges)
+    assume(list(degrees(g)).count(0) <= 1)
+    return g, draw(st.permutations(range(n)))
 
 
 class TestRefine:
@@ -129,6 +158,15 @@ class TestAutomorphisms:
         with pytest.raises(SearchBoundExceeded):
             automorphisms(g, bound=10)
 
+    def test_deep_search_runs_past_the_recursion_limit(self):
+        # One search level per vertex: a recursive search would overflow.
+        p = GpParams(600, 1)
+        g = gp(p)
+        assert g.vertex_count > sys.getrecursionlimit()
+        assert len(automorphisms(g, bound=1200)) == 2400
+        family = {from_triple(600, 1, t) for t in involution_family(p)}
+        assert set(kronecker_involutions(g, bound=1200)) == family
+
 
 class TestKroneckerInvolutions:
     def test_12_5_exactly_three(self, ):
@@ -153,6 +191,54 @@ class TestKroneckerInvolutions:
         invs = kronecker_involutions(g)
         assert invs
         assert all(is_kronecker_involution(g, p) for p in invs)
+
+    def test_pruned_search_matches_filtered_group(self):
+        for n in range(3, 25):
+            for k in range(1, (n - 1) // 2 + 1):
+                g = gp(GpParams(n, k))
+                expected = [p for p in automorphisms(g) if is_kronecker_involution(g, p)]
+                assert kronecker_involutions(g) == expected, (n, k)
+
+    @given(relabeled_small_graphs())
+    def test_pruned_search_matches_filter_on_small_graphs(self, case):
+        g, perm = case
+        for h in (g, relabeled(g, perm)):
+            for x in (h, kronecker_cover(h)):
+                expected = [p for p in automorphisms(x) if is_kronecker_involution(x, p)]
+                assert kronecker_involutions(x) == expected
+
+    @given(relabeled_small_graphs(), st.data())
+    def test_involution_mode_filters_the_group(self, case, data):
+        # Any 0/1 coloring, on graphs that may be disconnected and not
+        # bipartite, and the bipartition of a (often disconnected) cover.
+        g, perm = case
+        n = g.vertex_count
+        sides = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        cover = kronecker_cover(relabeled(g, perm))
+        for h, colors in ((g, sides), (cover, bipartition(cover))):
+            assert automorphisms(h, involution_colors=colors) == (
+                side_swapping_involutions(h, colors, automorphisms(h))
+            )
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gp(GpParams(10, 3)),
+            gp(GpParams(12, 5)),
+            gp(GpParams(14, 3)),
+            graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
+        ],
+        ids=["GP(10,3)", "GP(12,5)", "GP(14,3)", "2C4"],
+    )
+    def test_involution_mode_matches_vf2_filter(self, g):
+        colors = bipartition(g)
+        assert automorphisms(g, involution_colors=colors) == (
+            side_swapping_involutions(g, colors, nx_automorphisms(g))
+        )
+
+    def test_involution_colors_must_fit(self):
+        with pytest.raises(ValueError, match="involution_colors"):
+            automorphisms(gp(GpParams(4, 1)), involution_colors=[0, 1])
 
 
 class TestCanonicalForm:
@@ -301,3 +387,9 @@ class TestVertexBound:
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("GPCOVER_ORACLE_BOUND", "8")
         assert len(automorphisms(gp(GpParams(6, 1)), bound=12)) == 24
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
+    def test_bad_env_value_is_named(self, monkeypatch, value):
+        monkeypatch.setenv("GPCOVER_ORACLE_BOUND", value)
+        with pytest.raises(ValueError, match=f"GPCOVER_ORACLE_BOUND.*'{re.escape(value)}'"):
+            automorphisms(gp(GpParams(6, 1)))
