@@ -1,8 +1,10 @@
 """Batch sweeps over (n,k): classifier vs. oracle cross-checks and reports.
 
-Row computation is a pure function of (n,k), so rows may be computed in
-parallel worker processes and merged in key order; the emitted CSV/JSON is
-byte-identical across runs either way.
+One comparison, :func:`_compare`, checks a classification against the
+oracle; :func:`verify` reports its checks and an oracle census row is a view
+of them (it agrees iff every check passes).  Row computation is a pure
+function of (n,k), so rows may be computed in parallel worker processes and
+merged in key order; the emitted CSV/JSON is byte-identical either way.
 """
 from __future__ import annotations
 
@@ -11,13 +13,14 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
+from functools import partial
 from typing import Optional
 
 from .families import GpParams, gp
 from .classify import Case, Classification, classify
 from .covers import kronecker_cover
 from .oracle import is_isomorphic, kronecker_involutions, quotients_up_to_iso
-from .graphs import encode_graph6
+from .graphs import Graph, encode_graph6
 
 CSV_COLUMNS = (
     "n", "k", "case", "involution", "quotient",
@@ -44,52 +47,46 @@ class CensusRow:
     notes: str
 
 
-def _quotient_label(c: Classification) -> str:
-    return ";".join(q.label() for q in c.quotients)
+def _keys(n_min: int, n_max: int, include_nonbipartite: bool = True):
+    """Every valid (n,k) with n_min <= n <= n_max, ordered by (n,k)."""
+    for n in range(max(3, n_min), n_max + 1):
+        for k in range(1, (n - 1) // 2 + 1):
+            if include_nonbipartite or (n % 2 == 0 and k % 2 == 1):
+                yield n, k
 
 
-def _census_row(args: tuple[int, int, bool]) -> CensusRow:
-    n, k, with_oracle = args
-    p = GpParams(n, k)
-    c = classify(p)
+def _map(fn, keys, jobs: int) -> list:
+    """fn over keys, in key order, serially or in jobs worker processes."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, keys))
+    return [fn(key) for key in keys]
+
+
+def _census_row(key: tuple[int, int], with_oracle: bool) -> CensusRow:
+    n, k = key
+    c = classify(GpParams(n, k))
     involution = c.involution_words()
-    quotient_label = _quotient_label(c)
+    quotient_label = ";".join(q.label() for q in c.quotients)
     notes = ""
-    oracle_cover: Optional[bool] = None
-    oracle_classes: Optional[int] = None
-    agree: Optional[bool] = None
-
     if c.case is Case.EXCEPTIONAL_8_3:
+        involution = quotient_label = "(none)"
         notes = NOTE_8_3
+    if not with_oracle:
+        return CensusRow(
+            n, k, c.case.value, involution, quotient_label, None, None, None, notes
+        )
 
-    if with_oracle:
-        g = gp(p)
-        classes = quotients_up_to_iso(g)
-        oracle_cover = bool(classes)
-        oracle_classes = len(classes)
-        if c.case is Case.EXCEPTIONAL_8_3:
-            # Delegated: report whatever the oracle found.
-            quotient_label = ";".join(
-                "g6:" + encode_graph6(q) for q in classes
-            ) or "(none)"
-            involution = involution or "(none)"
-            agree = True
-        else:
-            agree = (c.covered == oracle_cover) and len(c.quotients) == len(classes)
-            if agree and c.quotients:
-                matched = [
-                    any(is_isomorphic(q.materialize(), cls) for cls in classes)
-                    for q in c.quotients
-                ]
-                agree = all(matched)
-            if not agree:
-                payload = ";".join("g6:" + encode_graph6(q) for q in classes)
-                notes = (notes + " | " if notes else "") + (
-                    f"disagreement: oracle classes [{payload or 'none'}]"
-                )
+    classes, checks = _compare(c)
+    agree = all(check.passed for check in checks)
+    if not agree:
+        payload = ";".join("g6:" + encode_graph6(q) for q in classes)
+        notes = (notes + " | " if notes else "") + (
+            f"disagreement: oracle classes [{payload or 'none'}]"
+        )
     return CensusRow(
         n, k, c.case.value, involution, quotient_label,
-        oracle_cover, oracle_classes, agree, notes,
+        bool(classes), len(classes), agree, notes,
     )
 
 
@@ -103,21 +100,12 @@ def census(
     """One row per valid (n,k) with n_min <= n <= n_max, ordered by (n,k).
 
     Rows for non-bipartite parameters are emitted only when
-    include_nonbipartite is set.  With the oracle enabled, n_max must keep
-    graphs within the oracle vertex bound.
+    include_nonbipartite is set.  With the oracle enabled, a row agrees
+    iff every check that :func:`verify` runs for its (n,k) passes, and
+    n_max must keep graphs within the oracle vertex bound.
     """
-    keys = []
-    for n in range(max(3, n_min), n_max + 1):
-        for k in range(1, (n - 1) // 2 + 1):
-            if not include_nonbipartite and (n % 2 or k % 2 == 0):
-                continue
-            keys.append((n, k, with_oracle))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_census_row, keys))
-    else:
-        rows = [_census_row(key) for key in keys]
-    return rows
+    keys = _keys(n_min, n_max, include_nonbipartite)
+    return _map(partial(_census_row, with_oracle=with_oracle), keys, jobs)
 
 
 def _cell(value) -> str:
@@ -166,38 +154,26 @@ class VerifyReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _verify_pair(args: tuple[int, int]) -> list[VerifyCheck]:
-    n, k = args
-    p = GpParams(n, k)
-    c = classify(p)
-    g = gp(p)
-    invs = kronecker_involutions(g)
+def _compare(c: Classification) -> tuple[list[Graph], list[VerifyCheck]]:
+    """The oracle's quotient classes for GP(c.n, c.k), and the checks of the
+    classification against them: cover existence, quotient class count,
+    isomorphism of each symbolic quotient with an oracle class, and the
+    cover round trip of each class."""
+    n, k = c.n, c.k
+    g = gp(GpParams(n, k))
+    oracle_cover = bool(kronecker_involutions(g))
     classes = quotients_up_to_iso(g)
-    checks: list[VerifyCheck] = []
-
-    oracle_cover = bool(invs)
-    expected = c.covered
-    if expected is None:
-        checks.append(VerifyCheck(
-            n, k, "existence", True,
-            f"delegated to oracle: cover={oracle_cover}",
-        ))
-        expected_classes = len(classes)
-    else:
-        checks.append(VerifyCheck(
-            n, k, "existence", expected == oracle_cover,
-            f"classifier={expected} oracle={oracle_cover}",
-        ))
-        expected_classes = len(c.quotients)
-
-    checks.append(VerifyCheck(
-        n, k, "class_count", expected_classes == len(classes),
-        f"classifier={expected_classes} oracle={len(classes)}",
-    ))
-
+    checks = [
+        VerifyCheck(
+            n, k, "existence", c.covered == oracle_cover,
+            f"classifier={c.covered} oracle={oracle_cover}",
+        ),
+        VerifyCheck(
+            n, k, "class_count", len(c.quotients) == len(classes),
+            f"classifier={len(c.quotients)} oracle={len(classes)}",
+        ),
+    ]
     for q in c.quotients:
-        if q.kind == "oracle":
-            continue
         try:
             qg = q.materialize()
         except ValueError as exc:
@@ -208,29 +184,23 @@ def _verify_pair(args: tuple[int, int]) -> list[VerifyCheck]:
         checks.append(VerifyCheck(n, k, f"quotient_iso[{q.label()}]", ok, detail))
 
     for i, cls in enumerate(classes):
-        cover = kronecker_cover(cls)
-        ok = is_isomorphic(cover, g)
+        ok = is_isomorphic(kronecker_cover(cls), g)
         detail = "" if ok else "g6:" + encode_graph6(cls)
         checks.append(VerifyCheck(n, k, f"round_trip[{i}]", ok, detail))
-    return checks
+    return classes, checks
+
+
+def _verify_pair(key: tuple[int, int]) -> list[VerifyCheck]:
+    return _compare(classify(GpParams(*key)))[1]
 
 
 def verify(n_max: int, jobs: int = 1) -> VerifyReport:
     """Cross-check classifier against oracle for every valid (n,k), n <= n_max.
 
-    Per pair: cover-existence agreement, quotient class count, isomorphism
-    of each symbolic quotient with an oracle class, and the cover round trip.
-    Failures carry graph6 payloads; they are data, not exceptions.
+    Per pair, the checks of :func:`_compare`, in order.  Failures carry
+    graph6 payloads; they are data, not exceptions.
     """
-    keys = []
-    for n in range(3, n_max + 1):
-        for k in range(1, (n - 1) // 2 + 1):
-            keys.append((n, k))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(_verify_pair, keys))
-    else:
-        groups = [_verify_pair(key) for key in keys]
+    groups = _map(_verify_pair, _keys(3, n_max), jobs)
     checks = tuple(c for group in groups for c in group)
     notes = (
         "(8,3): " + NOTE_8_3,
@@ -238,15 +208,3 @@ def verify(n_max: int, jobs: int = 1) -> VerifyReport:
         "cover is two disjoint copies of the base",
     )
     return VerifyReport(checks, notes)
-
-
-def cover_rows(rows: list[CensusRow]) -> list[CensusRow]:
-    """Rows where the classifier (or, for delegated rows, the oracle) found a cover."""
-    out = []
-    for r in rows:
-        if r.case == Case.EXCEPTIONAL_8_3.value:
-            if r.oracle_cover:
-                out.append(r)
-        elif r.case not in (Case.NOT_BIPARTITE.value, Case.NO_COVER.value):
-            out.append(r)
-    return out

@@ -9,9 +9,9 @@ Decision structure:
   Q = (k^2-1)/n, via a rim-switching involution, quotient a ring-plus-
   matching LCF graph;
 * GP(10,3) -> the unique double case (two non-isomorphic quotients);
-* GP(8,3) -> delegated to the search oracle: the closed form nominally
-  includes it, but its candidate involution fixes spokes and the candidate
-  quotient sequence contains zero jumps, so this module refuses to commit.
+* GP(8,3) -> not a cover: the closed form nominally includes it, but its
+  candidate involution fixes spokes and the candidate quotient sequence
+  contains zero jumps (Q = 1 is odd, so the B rule excludes it as well).
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from math import gcd
 from typing import Optional
 
 from .graphs import Graph
-from .families import GpParams, LcfSpec, c_minus, c_plus, gp, h_graph, lcf
+from .families import GpParams, LcfSpec, c_minus, c_plus, gp, h_graph, lcf, rim_jumps
 from .perms import WordTriple, format_word
 
 
@@ -134,10 +134,10 @@ class Case(str, Enum):
 
 @dataclass(frozen=True)
 class QuotientDesc:
-    """Symbolic quotient: a GP graph, a ring-plus-matching LCF graph, the
-    apex graph H, or a marker for oracle-determined results."""
+    """Symbolic quotient: a GP graph, a ring-plus-matching LCF graph, or
+    the apex graph H."""
 
-    kind: str  # "gp" | "cplus" | "cminus" | "h" | "oracle"
+    kind: str  # "gp" | "cplus" | "cminus" | "h"
     n: int = 0
     k: int = 0
     via: Optional[WordTriple | str] = None  # involution producing it
@@ -149,9 +149,7 @@ class QuotientDesc:
             return f"C+({self.n},{self.k})"
         if self.kind == "cminus":
             return f"C-({self.n},{self.k})"
-        if self.kind == "h":
-            return "H"
-        return "(oracle)"
+        return "H"
 
     def spec(self) -> Optional[LcfSpec]:
         if self.kind == "cplus":
@@ -165,10 +163,7 @@ class QuotientDesc:
             return gp(GpParams(self.n, self.k))
         if self.kind == "h":
             return h_graph()
-        s = self.spec()
-        if s is not None:
-            return lcf(s)
-        raise ValueError("oracle-determined quotient has no closed form")
+        return lcf(self.spec())
 
 
 @dataclass(frozen=True)
@@ -180,21 +175,13 @@ class Classification:
     canonical_involution: Optional[WordTriple]
 
     @property
-    def covered(self) -> Optional[bool]:
-        """True/False when the closed form decides; None when delegated
-        to the oracle (only GP(8,3))."""
-        if self.case in (Case.NOT_BIPARTITE, Case.NO_COVER):
-            return False
-        if self.case is Case.EXCEPTIONAL_8_3:
-            return None
-        return True
+    def covered(self) -> bool:
+        return bool(self.quotients)
 
     def involution_words(self, ascii_only: bool = False) -> str:
-        words = []
-        for q in self.quotients:
-            if q.via is not None:
-                words.append(format_word(q.via, ascii_only))
-        return ",".join(words)
+        return ",".join(
+            format_word(q.via, ascii_only) for q in self.quotients if q.via is not None
+        )
 
 
 def classify(p: GpParams) -> Classification:
@@ -211,9 +198,7 @@ def classify(p: GpParams) -> Classification:
             half,
         )
     if (n, k) == (8, 3):
-        return Classification(
-            n, k, Case.EXCEPTIONAL_8_3, (QuotientDesc("oracle"),), None
-        )
+        return Classification(n, k, Case.EXCEPTIONAL_8_3, (), None)
     if n % 2 == 1 or k % 2 == 0:
         return Classification(n, k, Case.NOT_BIPARTITE, (), None)
     if n % 4 == 2:
@@ -260,9 +245,9 @@ def quotient_lcf(p: GpParams, a: int) -> LcfSpec:
         raise ValueError(f"shift {a} is not in the involution family of GP({n},{k})")
     case = classify(p).case
     if case is Case.B1:
-        return LcfSpec(n, tuple((a + i * (k - 1)) % n for i in range(n)))
+        return rim_jumps(n, a, k - 1)
     if case is Case.B2:
-        return LcfSpec(n, tuple((a - i * (k + 1)) % n for i in range(n)))
+        return rim_jumps(n, a, -(k + 1))
     raise ValueError(f"GP({n},{k}) is case {case.value}, not B1/B2")
 
 

@@ -29,6 +29,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low; anything else is a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gpcover", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -59,12 +70,12 @@ def _build_parser() -> _Parser:
     p_census.add_argument("--oracle", action="store_true")
     p_census.add_argument("--all-rows", action="store_true",
                           help="include non-bipartite rows")
-    p_census.add_argument("--jobs", type=int, default=1)
+    p_census.add_argument("--jobs", type=_at_least(1), default=1)
     p_census.add_argument("--out", metavar="FILE.csv|.json", default=None)
 
     p_verify = sub.add_parser("verify", help="cross-check classifier vs oracle")
-    p_verify.add_argument("--max-n", type=int, required=True)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--max-n", type=_at_least(3), required=True)
+    p_verify.add_argument("--jobs", type=_at_least(1), default=1)
 
     p_export = sub.add_parser("export", help="emit a family graph")
     p_export.add_argument("--family", choices=("gp", "cplus", "cminus", "h"),
@@ -77,32 +88,18 @@ def _build_parser() -> _Parser:
 
 def _cmd_classify(args) -> int:
     c = classify(GpParams(args.n, args.k))
+    labels = [q.label() for q in c.quotients]
+    words = [format_word(q.via, args.ascii) for q in c.quotients if q.via is not None]
     if args.json:
-        payload = {
-            "n": c.n,
-            "k": c.k,
-            "case": c.case.value,
-            "quotients": [q.label() for q in c.quotients],
-            "involutions": [
-                format_word(q.via, args.ascii) for q in c.quotients if q.via is not None
-            ],
-        }
-        print(json.dumps(payload))
-        return 0
-    if c.case in (Case.NOT_BIPARTITE, Case.NO_COVER):
+        print(json.dumps({"n": c.n, "k": c.k, "case": c.case.value,
+                          "quotients": labels, "involutions": words}))
+    elif not c.covered:
         print(f"{c.case.value}: not a Kronecker cover")
-    elif c.case is Case.EXCEPTIONAL_8_3:
-        print(f"{c.case.value}: delegated to oracle "
-              "(run `gpcover census --oracle` for the adjudicated row)")
+    elif len(labels) > 1:
+        print(f"{c.case.value}: quotients {', '.join(labels)}; "
+              f"involutions {', '.join(words)}")
     else:
-        quotients = ", ".join(q.label() for q in c.quotients)
-        words = ", ".join(
-            format_word(q.via, args.ascii) for q in c.quotients if q.via is not None
-        )
-        if len(c.quotients) > 1:
-            print(f"{c.case.value}: quotients {quotients}; involutions {words}")
-        else:
-            print(f"{c.case.value}: quotient {quotients}, involution {words}")
+        print(f"{c.case.value}: quotient {labels[0]}, involution {', '.join(words)}")
     return 0
 
 
@@ -114,14 +111,9 @@ def _cmd_quotient(args) -> int:
         if (args.n, args.k) != (10, 3):
             raise ValueError("--delta applies only to GP(10,3)")
         perm = desargues_half_turn()
-    elif c.case in (Case.NOT_BIPARTITE, Case.NO_COVER):
+    elif not c.covered:
         raise ValueError(f"GP({args.n},{args.k}) is not a Kronecker cover "
-                         f"({c.case.value})")
-    elif c.case is Case.EXCEPTIONAL_8_3:
-        raise ValueError(
-            "GP(8,3) admits no covering involution (oracle-adjudicated); "
-            "no quotient exists"
-        )
+                         f"({c.case.value}): no covering involution, no quotient")
     elif args.a is not None:
         if c.case in (Case.B1, Case.B2):
             family = involution_family(p)

@@ -7,7 +7,6 @@ built in :mod:`gpcover.perms` apply without translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .graphs import Graph, graph
 
@@ -109,9 +108,9 @@ def edge_classes(p: GpParams) -> tuple[tuple, tuple, tuple]:
     return outer, inner, spokes
 
 
-def inner_cycle_count(p: GpParams) -> int:
-    """Number of cycles induced by the inner jump edges."""
-    return gcd(p.n, p.k)
+def rim_jumps(n: int, a: int, step: int) -> LcfSpec:
+    """Jump sequence f(i) = a + i*step mod n (unvalidated, see :func:`lcf`)."""
+    return LcfSpec(n, tuple((a + i * step) % n for i in range(n)))
 
 
 def c_plus(p: GpParams) -> LcfSpec:
@@ -122,7 +121,7 @@ def c_plus(p: GpParams) -> LcfSpec:
     n, k = p.n, p.k
     if n % 2:
         raise ValueError(f"n must be even, got {n}")
-    return LcfSpec(n, tuple((n // 2 + i * (k - 1)) % n for i in range(n)))
+    return rim_jumps(n, n // 2, k - 1)
 
 
 def c_minus(p: GpParams) -> LcfSpec:
@@ -130,7 +129,7 @@ def c_minus(p: GpParams) -> LcfSpec:
     n, k = p.n, p.k
     if n % 2:
         raise ValueError(f"n must be even, got {n}")
-    return LcfSpec(n, tuple((n // 2 - i * (k + 1)) % n for i in range(n)))
+    return rim_jumps(n, n // 2, -(k + 1))
 
 
 def h_graph() -> Graph:

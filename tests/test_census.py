@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
 
+from gpcover.oracle import is_isomorphic
+
 from gpcover.census import (
     CSV_COLUMNS,
     census,
-    cover_rows,
     rows_to_csv,
     rows_to_json,
     verify,
@@ -43,6 +44,9 @@ class TestCensus:
         assert row.oracle_cover is False
         assert row.oracle_classes == 0
         assert "zero jumps" in row.notes and "u1v1" in row.notes
+        plain = next(r for r in census(8, 8) if r.k == 3)
+        assert (plain.involution, plain.quotient) == ("(none)", "(none)")
+        assert plain.notes == row.notes
 
     def test_csv_columns_fixed(self):
         header = rows_to_csv(census(4, 6)).splitlines()[0]
@@ -68,12 +72,6 @@ class TestCensus:
     def test_golden_file(self):
         assert rows_to_csv(census(4, 26, with_oracle=True)) == GOLDEN.read_text()
 
-    def test_cover_rows_drop_non_covers(self):
-        rows = census(4, 16, with_oracle=True)
-        covers = cover_rows(rows)
-        assert all(r.case not in ("NoCover", "NotBipartite") for r in covers)
-        assert (8, 3) not in [(r.n, r.k) for r in covers]
-
     def test_disagreement_carries_graph6_evidence(self, monkeypatch):
         # Force the search side to report a bogus extra class and check the
         # row flags the disagreement with a reproducible payload.
@@ -94,6 +92,37 @@ class TestCensus:
         row = next(r for r in census_mod.census(6, 6, with_oracle=True) if r.k == 1)
         assert row.agree is False
         assert "g6:" in row.notes
+
+    def test_round_trip_failure_flips_agree(self, monkeypatch):
+        # Only the round trip fails: existence, class count and quotient
+        # isomorphism still pass, so the row must not agree on those alone.
+        import importlib
+
+        census_mod = importlib.import_module("gpcover.census")
+        from gpcover.families import GpParams, gp
+
+        real = census_mod.kronecker_cover
+
+        def forged(g):
+            if is_isomorphic(g, gp(GpParams(3, 1))):
+                return gp(GpParams(6, 2))
+            return real(g)
+
+        monkeypatch.setattr(census_mod, "kronecker_cover", forged)
+        row = census_mod.census(6, 6, with_oracle=True)[0]
+        assert (row.n, row.k, row.oracle_classes) == (6, 1, 1)
+        assert row.agree is False
+        assert "g6:" in row.notes
+
+    def test_agree_iff_every_verify_check_passes(self):
+        passed = {}
+        for check in verify(22).checks:
+            key = (check.n, check.k)
+            passed[key] = passed.get(key, True) and check.passed
+        rows = census(4, 22, with_oracle=True)
+        assert rows
+        for row in rows:
+            assert row.agree is passed[(row.n, row.k)], (row.n, row.k)
 
 
 class TestVerify:

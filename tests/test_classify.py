@@ -122,10 +122,9 @@ class TestClassify:
     def test_exceptional_8_3_delegates(self):
         c = classify(GpParams(8, 3))
         assert c.case is Case.EXCEPTIONAL_8_3
-        assert c.covered is None
-        assert c.quotients[0].kind == "oracle"
-        with pytest.raises(ValueError, match="oracle"):
-            c.quotients[0].materialize()
+        assert c.covered is False
+        assert c.quotients == ()
+        assert c.canonical_involution is None
 
     def test_half_turn_only_for_n_2_mod_4(self):
         for n in range(4, 30):

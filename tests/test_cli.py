@@ -26,6 +26,9 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "--n", "11", "--k", "2")
         assert code == 0
         assert out.strip() == "NotBipartite: not a Kronecker cover"
+        code, out, _ = run(capsys, "classify", "--n", "8", "--k", "3")
+        assert code == 0
+        assert out.strip() == "Exceptional_8_3: not a Kronecker cover"
 
     def test_10_3(self, capsys):
         code, out, _ = run(capsys, "classify", "--n", "10", "--k", "3")
@@ -39,6 +42,11 @@ class TestClassifyCommand:
         assert payload["case"] == "B2"
         assert payload["quotients"] == ["C-(24,7)"]
         assert payload["involutions"] == ["α¹²βγ"]
+        code, out, _ = run(capsys, "classify", "--n", "8", "--k", "3", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["case"] == "Exceptional_8_3"
+        assert payload["quotients"] == [] and payload["involutions"] == []
 
     def test_ascii(self, capsys):
         code, out, _ = run(capsys, "classify", "--n", "24", "--k", "7", "--ascii")
@@ -152,6 +160,13 @@ class TestCensusCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-4", "two"])
+    def test_bad_jobs_is_usage_error(self, capsys, jobs):
+        code, out, err = run(capsys, "census", "--max-n", "8", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
+
 
 class TestVerifyCommand:
     def test_passes_small(self, capsys):
@@ -160,6 +175,23 @@ class TestVerifyCommand:
         assert "PASS GP(10,3) class_count" in out
         assert "checks passed" in out
         assert "(8,3)" in err  # documented note goes to stderr
+
+    def test_full_oracle_bound(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-n", "60")
+        assert code == 0
+        assert out.splitlines()[-1] == "2008/2008 checks passed"
+
+    @pytest.mark.parametrize("argv,option", [
+        (["--max-n", "2"], "--max-n"),
+        (["--max-n", "-1"], "--max-n"),
+        (["--max-n", "10", "--jobs", "0"], "--jobs"),
+        (["--max-n", "10", "--jobs", "-4"], "--jobs"),
+    ])
+    def test_bad_sweep_arguments_are_usage_errors(self, capsys, argv, option):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert option in err
 
     @pytest.mark.parametrize("value", ["abc", "-5"])
     def test_bad_oracle_bound_exit_1(self, capsys, monkeypatch, value):
