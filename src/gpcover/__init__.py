@@ -66,14 +66,11 @@ from .classify import (
 )
 from .oracle import (
     SearchBoundExceeded,
-    VertexPartition,
     automorphisms,
     canonical_form,
     is_isomorphic,
     kronecker_involutions,
     quotients_up_to_iso,
-    refine,
-    unit_partition,
 )
 from .census import CensusRow, VerifyReport, census, rows_to_csv, rows_to_json, verify
 

@@ -19,7 +19,7 @@ from typing import Optional
 from .families import GpParams, gp
 from .classify import Case, Classification, classify
 from .covers import kronecker_cover
-from .oracle import is_isomorphic, kronecker_involutions, quotients_up_to_iso
+from .oracle import check_bound, is_isomorphic, kronecker_involutions, quotients_up_to_iso
 from .graphs import Graph, encode_graph6
 
 CSV_COLUMNS = (
@@ -53,6 +53,13 @@ def _keys(n_min: int, n_max: int, include_nonbipartite: bool = True):
         for k in range(1, (n - 1) // 2 + 1):
             if include_nonbipartite or (n % 2 == 0 and k % 2 == 1):
                 yield n, k
+
+
+def _check_sweep(keys: list[tuple[int, int]]) -> None:
+    """Refuse, before any search, a sweep whose largest GP(n,k) (2n
+    vertices) is past the oracle bound."""
+    if keys:
+        check_bound(2 * keys[-1][0])
 
 
 def _map(fn, keys, jobs: int) -> list:
@@ -101,10 +108,13 @@ def census(
 
     Rows for non-bipartite parameters are emitted only when
     include_nonbipartite is set.  With the oracle enabled, a row agrees
-    iff every check that :func:`verify` runs for its (n,k) passes, and
-    n_max must keep graphs within the oracle vertex bound.
+    iff every check that :func:`verify` runs for its (n,k) passes; a sweep
+    whose largest graph is past the oracle vertex bound is refused with
+    SearchBoundExceeded before any search.
     """
-    keys = _keys(n_min, n_max, include_nonbipartite)
+    keys = list(_keys(n_min, n_max, include_nonbipartite))
+    if with_oracle:
+        _check_sweep(keys)
     return _map(partial(_census_row, with_oracle=with_oracle), keys, jobs)
 
 
@@ -198,9 +208,12 @@ def verify(n_max: int, jobs: int = 1) -> VerifyReport:
     """Cross-check classifier against oracle for every valid (n,k), n <= n_max.
 
     Per pair, the checks of :func:`_compare`, in order.  Failures carry
-    graph6 payloads; they are data, not exceptions.
+    graph6 payloads; they are data, not exceptions.  A sweep past the oracle
+    vertex bound is refused with SearchBoundExceeded before any search.
     """
-    groups = _map(_verify_pair, _keys(3, n_max), jobs)
+    keys = list(_keys(3, n_max))
+    _check_sweep(keys)
+    groups = _map(_verify_pair, keys, jobs)
     checks = tuple(c for group in groups for c in group)
     notes = (
         "(8,3): " + NOTE_8_3,

@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .graphs import decode_graph6, encode_graph6, to_dot
-from .families import GpParams, c_minus, c_plus, gp, h_graph, lcf
-from .classify import Case, classify, involution_family, quotient_lcf
-from .perms import WordTriple, desargues_half_turn, format_word, from_triple
+from .families import GpParams, gp
+from .classify import Case, QuotientDesc, classify, involution_family
+from .perms import desargues_half_turn, format_word, from_triple
 from .covers import kronecker_cover, quotient
 from .census import census, rows_to_csv, rows_to_json, verify
 
@@ -65,7 +64,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--g6", metavar="STR")
 
     p_census = sub.add_parser("census", help="sweep (n,k) and emit CSV/JSON")
-    p_census.add_argument("--max-n", type=int, required=True)
+    p_census.add_argument("--max-n", type=_at_least(3), required=True)
     p_census.add_argument("--min-n", type=int, default=3)
     p_census.add_argument("--oracle", action="store_true")
     p_census.add_argument("--all-rows", action="store_true",
@@ -181,18 +180,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.family == "h":
-        g = h_graph()
-    else:
-        if args.n is None or args.k is None:
-            raise ValueError(f"--family {args.family} requires --n and --k")
-        p = GpParams(args.n, args.k)
-        if args.family == "gp":
-            g = gp(p)
-        elif args.family == "cplus":
-            g = lcf(c_plus(p))
-        else:
-            g = lcf(c_minus(p))
+    if args.family != "h" and (args.n is None or args.k is None):
+        raise ValueError(f"--family {args.family} requires --n and --k")
+    g = QuotientDesc(args.family, args.n, args.k).materialize()
     print(encode_graph6(g))
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -214,6 +204,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "census" and args.min_n > args.max_n:
+            parser.error(f"--min-n {args.min_n} is greater than --max-n {args.max_n}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -12,11 +12,14 @@ mode that applies the involution clauses at every node, so it never
 enumerates the rest of the group; each result still passes the clause
 checker in ``covers``.  Enumerating the whole group and filtering it is the
 independent route that the tests compare against.
+
+Every search refuses a graph with more vertices than :func:`vertex_bound`,
+which only ``GPCOVER_ORACLE_BOUND`` sets (default 120).  Sweeps call
+:func:`check_bound` on their largest graph before the first search.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from collections import deque
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -33,11 +36,9 @@ class SearchBoundExceeded(RuntimeError):
     """Graph exceeds the configured oracle vertex bound."""
 
 
-def vertex_bound(bound: Optional[int] = None) -> int:
-    """The explicit bound, else a positive integer from the environment,
-    else DEFAULT_VERTEX_BOUND."""
-    if bound is not None:
-        return bound
+def vertex_bound() -> int:
+    """The oracle vertex bound: a positive integer from GPCOVER_ORACLE_BOUND,
+    else DEFAULT_VERTEX_BOUND.  It is the only setting of the bound."""
     env = os.environ.get(_BOUND_ENV)
     if not env:
         return DEFAULT_VERTEX_BOUND
@@ -50,39 +51,18 @@ def vertex_bound(bound: Optional[int] = None) -> int:
     return value
 
 
-def _check_bound(g: Graph, bound: Optional[int]) -> None:
-    limit = vertex_bound(bound)
-    if g.vertex_count > limit:
+def check_bound(vertex_count: int) -> None:
+    """Refuse a search on vertex_count vertices past the oracle bound."""
+    limit = vertex_bound()
+    if vertex_count > limit:
         raise SearchBoundExceeded(
-            f"graph has {g.vertex_count} vertices, oracle bound is {limit}"
+            f"graph has {vertex_count} vertices, oracle bound is {limit} "
+            f"(set by {_BOUND_ENV})"
         )
 
 
 # ---------------------------------------------------------------------------
 # Equitable partition refinement.
-
-@dataclass(frozen=True)
-class VertexPartition:
-    """Ordered list of cells partitioning 0..n-1."""
-
-    cells: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        flat = [v for cell in self.cells for v in cell]
-        if sorted(flat) != list(range(len(flat))):
-            raise ValueError("cells do not partition 0..n-1")
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(len(cell) for cell in self.cells)
-
-    def is_discrete(self) -> bool:
-        return all(len(cell) == 1 for cell in self.cells)
-
-
-def unit_partition(n: int) -> VertexPartition:
-    return VertexPartition((tuple(range(n)),) if n else ())
-
 
 def _refine_cells(
     adj: Sequence[Sequence[int]], cells: list[tuple[int, ...]]
@@ -121,21 +101,11 @@ def _refine_cells(
         cells = new_cells
 
 
-def refine(g: Graph, p: VertexPartition) -> VertexPartition:
-    """Coarsest stable refinement of p under "neighbor count in each cell"."""
-    if p.vertex_count != g.vertex_count:
-        raise ValueError("partition does not fit the graph")
-    return VertexPartition(tuple(_refine_cells(adjacency(g), list(p.cells))))
-
-
 # ---------------------------------------------------------------------------
 # Automorphism enumeration.
 
 def automorphisms(
-    g: Graph,
-    bound: Optional[int] = None,
-    *,
-    involution_colors: Optional[Sequence[int]] = None,
+    g: Graph, *, involution_colors: Optional[Sequence[int]] = None
 ) -> list[Perm]:
     """The full automorphism group, or with ``involution_colors`` only its
     covering-involution candidates, lexicographically sorted.
@@ -157,8 +127,8 @@ def automorphisms(
     edges as well, so a vertex fixed as a partner is skipped at its BFS turn
     instead of branched on.
     """
-    _check_bound(g, bound)
     n = g.vertex_count
+    check_bound(n)
     if n == 0:
         return [()]
     adj = adjacency(g)
@@ -261,13 +231,13 @@ def _kronecker_involutions_cached(g: Graph) -> tuple[Perm, ...]:
     colors = bipartition(g) if g.vertex_count else None
     if colors is None or not is_connected(g):
         return ()
-    candidates = automorphisms(g, g.vertex_count, involution_colors=colors)
+    candidates = automorphisms(g, involution_colors=colors)
     return tuple(p for p in candidates if is_kronecker_involution(g, p))
 
 
-def kronecker_involutions(g: Graph, bound: Optional[int] = None) -> list[Perm]:
+def kronecker_involutions(g: Graph) -> list[Perm]:
     """All covering involutions of g; empty unless g is connected bipartite."""
-    _check_bound(g, bound)
+    check_bound(g.vertex_count)
     return list(_kronecker_involutions_cached(g))
 
 
@@ -404,25 +374,25 @@ def _canonical_form_cached(g: Graph) -> bytes:
     return encode_graph6(graph(g.vertex_count, _canonical_edges(g))).encode("ascii")
 
 
-def canonical_form(g: Graph, bound: Optional[int] = None) -> bytes:
+def canonical_form(g: Graph) -> bytes:
     """Relabeling-invariant byte string (graph6 of the canonical labeling)."""
-    _check_bound(g, bound)
+    check_bound(g.vertex_count)
     return _canonical_form_cached(g)
 
 
-def is_isomorphic(g: Graph, h: Graph, bound: Optional[int] = None) -> bool:
+def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.vertex_count != h.vertex_count or len(g.edges) != len(h.edges):
         return False
     if sorted(degrees(g)) != sorted(degrees(h)):
         return False
-    return canonical_form(g, bound) == canonical_form(h, bound)
+    return canonical_form(g) == canonical_form(h)
 
 
-def quotients_up_to_iso(g: Graph, bound: Optional[int] = None) -> list[Graph]:
+def quotients_up_to_iso(g: Graph) -> list[Graph]:
     """One quotient per isomorphism class, over all covering involutions,
     ordered by canonical form."""
     classes: dict[bytes, Graph] = {}
-    for w in kronecker_involutions(g, bound):
+    for w in kronecker_involutions(g):
         q = quotient(g, w)
         classes.setdefault(canonical_form(q), q)
     return [classes[cf] for cf in sorted(classes)]

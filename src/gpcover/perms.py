@@ -9,9 +9,9 @@ formulas in :mod:`gpcover.classify` are written in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .graphs import Graph, adjacency_masks
+from .graphs import Graph
 from .families import GpParams
 
 Perm = tuple[int, ...]
@@ -142,9 +142,6 @@ def from_triple(n: int, k: int, t: WordTriple) -> Perm:
         return i if rim == 0 else n + i
 
     return tuple(image(x) for x in range(2 * n))
-
-
-WORD_TOKENS = ("alpha", "alpha^-1", "beta", "beta^-1", "gamma", "gamma^-1")
 
 
 def normalize_word(n: int, k: int, word: Iterable[str]) -> WordTriple:

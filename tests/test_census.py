@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
-from gpcover.oracle import is_isomorphic
+import pytest
+
+from gpcover.oracle import SearchBoundExceeded, is_isomorphic
 
 from gpcover.census import (
     CSV_COLUMNS,
@@ -82,8 +84,8 @@ class TestCensus:
 
         real = census_mod.quotients_up_to_iso
 
-        def forged(g, bound=None):
-            classes = real(g, bound)
+        def forged(g):
+            classes = real(g)
             if g == gp(GpParams(6, 1)):
                 return classes + [gp(GpParams(3, 1))]
             return classes
@@ -123,6 +125,37 @@ class TestCensus:
         assert rows
         for row in rows:
             assert row.agree is passed[(row.n, row.k)], (row.n, row.k)
+
+
+class TestOracleBound:
+    @pytest.mark.parametrize("sweep", [
+        lambda mod: mod.verify(61),
+        lambda mod: mod.verify(61, jobs=2),
+        lambda mod: mod.census(4, 61, with_oracle=True, include_nonbipartite=True),
+        lambda mod: mod.census(4, 62, with_oracle=True),
+    ], ids=["verify", "verify-jobs", "census-all-rows", "census"])
+    def test_sweep_past_bound_refused_before_any_search(self, monkeypatch, sweep):
+        import importlib
+
+        census_mod = importlib.import_module("gpcover.census")
+        calls = []
+        real = census_mod.quotients_up_to_iso
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(census_mod, "quotients_up_to_iso", counted)
+        with pytest.raises(SearchBoundExceeded, match=r"12[24] vertices, oracle bound is 120"):
+            sweep(census_mod)
+        assert calls == []
+
+    def test_sweep_within_bound_is_not_refused(self, monkeypatch):
+        # Without non-bipartite rows odd n visits no graph, so the largest
+        # graph of the 6..7 sweep is GP(6,1), 12 vertices, and 61..61 has none.
+        monkeypatch.setenv("GPCOVER_ORACLE_BOUND", "12")
+        assert [r.agree for r in census(6, 7, with_oracle=True)] == [True]
+        assert census(62, 200) and census(61, 61, with_oracle=True) == []
 
 
 class TestVerify:

@@ -167,6 +167,35 @@ class TestCensusCommand:
         assert out == ""
         assert "--jobs" in err
 
+    @pytest.mark.parametrize("argv,option", [
+        (["--max-n", "2"], "--max-n"),
+        (["--max-n", "-1", "--oracle"], "--max-n"),
+        (["--min-n", "30", "--max-n", "10", "--oracle"], "--min-n"),
+        (["--min-n", "11", "--max-n", "10"], "--min-n"),
+    ])
+    def test_empty_sweep_is_usage_error(self, capsys, argv, option):
+        code, out, err = run(capsys, "census", *argv)
+        assert code == 2
+        assert out == ""
+        assert option in err
+
+    def test_single_n_sweep(self, capsys):
+        code, out, _ = run(capsys, "census", "--min-n", "10", "--max-n", "10")
+        assert code == 0
+        assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+            ["10", "1"], ["10", "3"],
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ["--max-n", "61", "--oracle", "--all-rows"],
+        ["--max-n", "62", "--oracle"],
+    ])
+    def test_past_oracle_bound_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, "census", *argv)
+        assert code == 1
+        assert out == ""
+        assert "oracle bound is 120" in err and "GPCOVER_ORACLE_BOUND" in err
+
 
 class TestVerifyCommand:
     def test_passes_small(self, capsys):
@@ -192,6 +221,13 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert option in err
+
+    def test_past_oracle_bound_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-n", "61")
+        assert code == 1
+        assert out == ""
+        assert "122 vertices, oracle bound is 120" in err
+        assert "GPCOVER_ORACLE_BOUND" in err
 
     @pytest.mark.parametrize("value", ["abc", "-5"])
     def test_bad_oracle_bound_exit_1(self, capsys, monkeypatch, value):

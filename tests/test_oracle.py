@@ -13,14 +13,12 @@ from gpcover.perms import WordTriple, compose, from_triple, identity, inverse
 from gpcover.classify import involution_family
 from gpcover.oracle import (
     SearchBoundExceeded,
-    VertexPartition,
+    _refine_cells,
     automorphisms,
     canonical_form,
     is_isomorphic,
     kronecker_involutions,
     quotients_up_to_iso,
-    refine,
-    unit_partition,
 )
 
 
@@ -33,6 +31,11 @@ def nx_automorphisms(g):
         tuple(m[i] for i in range(g.vertex_count))
         for m in matcher.isomorphisms_iter()
     }
+
+
+def refine(g, cells):
+    """The coarsest equitable refinement of cells, as the searches compute it."""
+    return tuple(_refine_cells(adjacency(g), list(cells)))
 
 
 def relabeled(g, perm):
@@ -68,13 +71,11 @@ def relabeled_small_graphs(draw):
 class TestRefine:
     def test_regular_graph_unchanged(self):
         g = gp(GpParams(7, 2))
-        p = refine(g, unit_partition(14))
-        assert p.cells == (tuple(range(14)),)
+        assert refine(g, [tuple(range(14))]) == (tuple(range(14)),)
 
     def test_star_splits(self):
         g = graph(4, [(0, 1), (0, 2), (0, 3)])
-        p = refine(g, unit_partition(4))
-        assert set(p.cells) == {(0,), (1, 2, 3)}
+        assert set(refine(g, [tuple(range(4))])) == {(0,), (1, 2, 3)}
 
     def test_idempotent(self):
         rng = random.Random(17)
@@ -87,21 +88,16 @@ class TestRefine:
                 if rng.random() < 0.4
             ]
             g = graph(n, edges)
-            once = refine(g, unit_partition(n))
+            once = refine(g, [tuple(range(n))])
             assert refine(g, once) == once
 
     def test_never_merges(self):
         g = gp(GpParams(5, 2))
-        start = VertexPartition(((0,), tuple(range(1, 10))))
-        refined = refine(g, start)
-        for cell in refined.cells:
+        refined = refine(g, [(0,), tuple(range(1, 10))])
+        for cell in refined:
             assert (
                 len({0} & set(cell)) == 0 or cell == (0,)
             )
-
-    def test_invalid_partition_rejected(self):
-        with pytest.raises(ValueError, match="partition"):
-            VertexPartition(((0, 0), (1,)))
 
 
 class TestAutomorphisms:
@@ -153,19 +149,21 @@ class TestAutomorphisms:
         g = graph(4, [(0, 1), (2, 3)])
         assert len(automorphisms(g)) == 8  # swap within edges, swap edges
 
-    def test_bound_enforced(self):
+    def test_bound_enforced(self, monkeypatch):
+        monkeypatch.setenv("GPCOVER_ORACLE_BOUND", "10")
         g = gp(GpParams(10, 3))
         with pytest.raises(SearchBoundExceeded):
-            automorphisms(g, bound=10)
+            automorphisms(g)
 
-    def test_deep_search_runs_past_the_recursion_limit(self):
+    def test_deep_search_runs_past_the_recursion_limit(self, monkeypatch):
         # One search level per vertex: a recursive search would overflow.
+        monkeypatch.setenv("GPCOVER_ORACLE_BOUND", "1200")
         p = GpParams(600, 1)
         g = gp(p)
         assert g.vertex_count > sys.getrecursionlimit()
-        assert len(automorphisms(g, bound=1200)) == 2400
+        assert len(automorphisms(g)) == 2400
         family = {from_triple(600, 1, t) for t in involution_family(p)}
-        assert set(kronecker_involutions(g, bound=1200)) == family
+        assert set(kronecker_involutions(g)) == family
 
 
 class TestKroneckerInvolutions:
@@ -384,9 +382,23 @@ class TestVertexBound:
         with pytest.raises(SearchBoundExceeded, match="bound is 8"):
             automorphisms(gp(GpParams(6, 1)))
 
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("GPCOVER_ORACLE_BOUND", "8")
-        assert len(automorphisms(gp(GpParams(6, 1)), bound=12)) == 24
+    def test_message_names_count_bound_and_setting(self):
+        with pytest.raises(SearchBoundExceeded) as exc:
+            canonical_form(gp(GpParams(61, 1)))
+        message = str(exc.value)
+        assert "122 vertices" in message and "bound is 120" in message
+        assert "GPCOVER_ORACLE_BOUND" in message
+
+    def test_env_raises_the_bound_for_every_search(self, monkeypatch):
+        # The quotient search reaches canonical_form and automorphisms
+        # through kronecker_involutions; all of them read the one bound.
+        g = gp(GpParams(122, 1))
+        with pytest.raises(SearchBoundExceeded, match="244 vertices"):
+            quotients_up_to_iso(g)
+        monkeypatch.setenv("GPCOVER_ORACLE_BOUND", "244")
+        classes = quotients_up_to_iso(g)
+        assert len(classes) == 1
+        assert is_isomorphic(classes[0], gp(GpParams(61, 1)))
 
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
     def test_bad_env_value_is_named(self, monkeypatch, value):
