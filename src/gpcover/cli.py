@@ -204,8 +204,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "census" and args.min_n > args.max_n:
-            parser.error(f"--min-n {args.min_n} is greater than --max-n {args.max_n}")
+        if args.command == "census":
+            if args.min_n > args.max_n:
+                parser.error(f"--min-n {args.min_n} is greater than --max-n {args.max_n}")
+            # Without --all-rows only bipartite (n,k) have rows: even n >= 4.
+            first_even = max(4, args.min_n + args.min_n % 2)
+            if not args.all_rows and first_even > args.max_n:
+                parser.error(
+                    f"--min-n {args.min_n} --max-n {args.max_n} holds no even "
+                    f"n >= 4, so no bipartite row; --all-rows adds the "
+                    f"non-bipartite rows"
+                )
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

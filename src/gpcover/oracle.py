@@ -7,6 +7,14 @@ automorphisms come from full backtracking and canonical forms minimize over
 a complete individualization-refinement tree, with discovered automorphisms
 used only to skip provably equivalent branches.
 
+Refinement takes its splitters from a queue and re-examines only the cells
+next to a cell that just split.  The root of each search queues every cell;
+below the root of the canonical-form tree only the individualized vertex is
+queued, because its parent partition was already equitable.  Every choice
+the refinement makes depends on cell positions and neighbor counts, never on
+vertex names, so it commutes with relabeling, which the canonical form
+relies on.
+
 Covering involutions come from the same backtracking engine in a pruned
 mode that applies the involution clauses at every node, so it never
 enumerates the rest of the group; each result still passes the clause
@@ -65,40 +73,82 @@ def check_bound(vertex_count: int) -> None:
 # Equitable partition refinement.
 
 def _refine_cells(
-    adj: Sequence[Sequence[int]], cells: list[tuple[int, ...]]
+    adj: Sequence[Sequence[int]],
+    cells: list[tuple[int, ...]],
+    _splitter: Optional[int] = None,
 ) -> list[tuple[int, ...]]:
-    """Coarsest equitable refinement: split cells by neighbor counts per cell
-    until stable.  Subcells are ordered by signature, so the result depends
-    only on the input partition up to relabeling."""
-    n = sum(len(c) for c in cells)
-    cell_of = [0] * n
-    while True:
-        for ci, cell in enumerate(cells):
-            for v in cell:
-                cell_of[v] = ci
-        new_cells: list[tuple[int, ...]] = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            groups: dict[tuple, list[int]] = {}
-            for v in cell:
-                counts: dict[int, int] = {}
-                for w in adj[v]:
-                    cw = cell_of[w]
-                    counts[cw] = counts.get(cw, 0) + 1
-                sig = tuple(sorted(counts.items()))
-                groups.setdefault(sig, []).append(v)
+    """Coarsest equitable refinement of an ordered partition, by a splitter
+    queue (McKay 1981; McKay & Piperno 2014).
+
+    The partition is one vertex array in which each cell is a run, named by
+    its start position.  Splitters leave a FIFO queue one at a time; every
+    non-singleton cell holding a neighbor of the splitter is split by its
+    members' neighbor counts into the splitter.  With every cell queued
+    first, the partition is equitable once the queue is empty.
+
+    ``_splitter`` queues only the cell starting at that position.  This is
+    enough when the input is an equitable partition in which one vertex v
+    was taken out of its cell C as the singleton (v,) at that position: a
+    vertex's count into C minus v is its count into C, which is the same
+    across its cell, minus its count into (v,).
+
+    The result commutes with relabeling, because every choice depends only
+    on positions and counts, never on vertex names: touched cells split in
+    position order, pieces go in ascending count order, a split cell that
+    was queued has all its pieces queued and any other split cell all but
+    its first largest piece.  Leaving that piece out is sound for the same
+    reason as the singleton seed: counts into it are counts into the old
+    cell minus counts into the other pieces.  Each piece lists its vertices
+    in ascending order; a cell that never splits keeps the input's order.
+    """
+    order = [v for cell in cells for v in cell]
+    n = len(order)
+    start_of = [0] * n  # start position of each vertex's cell
+    size = [0] * n  # size[s]: length of the cell starting at s
+    starts = []
+    s = 0
+    for cell in cells:
+        for v in cell:
+            start_of[v] = s
+        size[s] = len(cell)
+        starts.append(s)
+        s += len(cell)
+    queue = deque(starts if _splitter is None else [_splitter])
+    queued = [False] * n
+    for s in queue:
+        queued[s] = True
+    count = [0] * n
+    while queue:
+        s = queue.popleft()
+        queued[s] = False
+        touched = []
+        for u in order[s:s + size[s]]:
+            for w in adj[u]:
+                if not count[w]:
+                    touched.append(w)
+                count[w] += 1
+        for c in sorted({start_of[w] for w in touched if size[start_of[w]] > 1}):
+            groups: dict[int, list[int]] = {}
+            for v in order[c:c + size[c]]:
+                groups.setdefault(count[v], []).append(v)
             if len(groups) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(tuple(sorted(groups[sig])))
-        if not changed:
-            return new_cells
-        cells = new_cells
+                continue
+            pieces = [sorted(groups[k]) for k in sorted(groups)]
+            largest = pieces.index(max(pieces, key=len))
+            queue_all = queued[c]
+            p = c
+            for i, piece in enumerate(pieces):
+                order[p:p + len(piece)] = piece
+                size[p] = len(piece)
+                for v in piece:
+                    start_of[v] = p
+                if not queued[p] and (queue_all or i != largest):
+                    queued[p] = True
+                    queue.append(p)
+                p += len(piece)
+        for w in touched:
+            count[w] = 0
+    return [tuple(order[s:s + size[s]]) for s in sorted(set(start_of))]
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +389,15 @@ def _canonical_edges_connected(g: Graph) -> tuple[tuple[int, int], ...]:
         return True
 
     def rec(cells: list[tuple[int, ...]], depth: int) -> None:
-        cells = _refine_cells(adj, cells)
+        # cells is equitable: refined in full at the root, from the new
+        # singleton below it.
         target = -1
         target_size = n + 1
+        start = target_start = 0
         for ci, cell in enumerate(cells):
             if 1 < len(cell) < target_size:
-                target, target_size = ci, len(cell)
+                target, target_size, target_start = ci, len(cell), start
+            start += len(cell)
         if target < 0:
             leaf(cells)
             return
@@ -361,7 +414,7 @@ def _canonical_edges_connected(g: Graph) -> tuple[tuple[int, int], ...]:
                 + [(v,), tuple(x for x in cell if x != v)]
                 + cells[target + 1:]
             )
-            rec(child, depth + 1)
+            rec(_refine_cells(adj, child, target_start), depth + 1)
             done.append(v)
 
     if n:
@@ -375,7 +428,11 @@ def _canonical_form_cached(g: Graph) -> bytes:
 
 
 def canonical_form(g: Graph) -> bytes:
-    """Relabeling-invariant byte string (graph6 of the canonical labeling)."""
+    """Relabeling-invariant byte string (graph6 of the canonical labeling).
+
+    The bytes are equal for isomorphic graphs within one version of this
+    module; they are not promised to stay the same across versions, since
+    they follow the refinement's cell order."""
     check_bound(g.vertex_count)
     return _canonical_form_cached(g)
 

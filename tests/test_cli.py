@@ -179,6 +179,21 @@ class TestCensusCommand:
         assert out == ""
         assert option in err
 
+    @pytest.mark.parametrize("argv,span", [
+        (["--max-n", "3"], "--min-n 3 --max-n 3"),
+        (["--min-n", "61", "--max-n", "61", "--oracle"], "--min-n 61 --max-n 61"),
+    ])
+    def test_range_without_bipartite_rows_is_usage_error(self, capsys, argv, span):
+        code, out, err = run(capsys, "census", *argv)
+        assert code == 2
+        assert out == ""
+        assert span in err and "--all-rows" in err
+
+    def test_odd_range_with_all_rows(self, capsys):
+        code, out, _ = run(capsys, "census", "--max-n", "3", "--all-rows")
+        assert code == 0
+        assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [["3", "1"]]
+
     def test_single_n_sweep(self, capsys):
         code, out, _ = run(capsys, "census", "--min-n", "10", "--max-n", "10")
         assert code == 0

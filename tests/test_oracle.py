@@ -33,9 +33,68 @@ def nx_automorphisms(g):
     }
 
 
-def refine(g, cells):
-    """The coarsest equitable refinement of cells, as the searches compute it."""
-    return tuple(_refine_cells(adjacency(g), list(cells)))
+def refine(g, cells, splitter=None):
+    """The coarsest equitable refinement of cells, as the searches compute it;
+    with splitter, only the cell starting at that position is queued."""
+    return tuple(_refine_cells(adjacency(g), list(cells), splitter))
+
+
+def reference_refine(g, cells):
+    """The second route: split every cell by its members' neighbor counts
+    into every cell, round after round, until no cell splits."""
+    adj = adjacency(g)
+    cells = list(cells)
+    while True:
+        cell_of = {v: ci for ci, cell in enumerate(cells) for v in cell}
+        new_cells = []
+        for cell in cells:
+            groups = {}
+            for v in cell:
+                sig = sorted(cell_of[w] for w in adj[v])
+                groups.setdefault(tuple(sig), []).append(v)
+            new_cells += [tuple(groups[sig]) for sig in sorted(groups)]
+        if len(new_cells) == len(cells):
+            return cells
+        cells = new_cells
+
+
+def is_equitable(g, cells):
+    adj = adjacency(g)
+    cell_of = {v: ci for ci, cell in enumerate(cells) for v in cell}
+    return all(
+        len({tuple(sorted(cell_of[w] for w in adj[v])) for v in cell}) == 1
+        for cell in cells
+    )
+
+
+def refinement_cases():
+    """Random graphs and GP(n,k): the unit partition, and the partitions
+    after individualizing 1-3 vertices, each seeded with the singleton only
+    as the canonical-form search does."""
+    rng = random.Random(23)
+    graphs = [gp(GpParams(n, k)) for n in (5, 8, 10, 12, 13, 24, 30)
+              for k in range(1, (n - 1) // 2 + 1)]
+    for _ in range(60):
+        n = rng.randint(1, 16)
+        p = rng.random()
+        graphs.append(graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < p]))
+    for g in graphs:
+        cells = [tuple(range(g.vertex_count))]
+        yield g, cells, None
+        cells = list(refine(g, cells))
+        for _ in range(rng.randint(1, 3)):
+            open_cells = [ci for ci, cell in enumerate(cells) if len(cell) > 1]
+            if not open_cells:
+                break
+            ci = rng.choice(open_cells)
+            v = rng.choice(cells[ci])
+            # v leaves cell ci as a singleton just before it, at position start.
+            start = sum(len(cell) for cell in cells[:ci])
+            rest = tuple(x for x in cells[ci] if x != v)
+            child = cells[:ci] + [(v,), rest] + cells[ci + 1:]
+            yield g, child, start
+            cells = list(refine(g, child, start))
 
 
 def relabeled(g, perm):
@@ -90,6 +149,26 @@ class TestRefine:
             g = graph(n, edges)
             once = refine(g, [tuple(range(n))])
             assert refine(g, once) == once
+
+    def test_matches_reference_refine(self):
+        for g, cells, start in refinement_cases():
+            result = refine(g, cells, start)
+            assert set(map(frozenset, result)) == set(
+                map(frozenset, reference_refine(g, cells))
+            ), (g, cells, start)
+            assert is_equitable(g, result)
+
+    def test_commutes_with_relabeling(self):
+        # Cell order must follow the input order, not vertex names, or the
+        # canonical form would depend on the labeling.
+        rng = random.Random(29)
+        for g, cells, start in refinement_cases():
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            moved = [tuple(perm[v] for v in cell) for cell in cells]
+            assert [set(cell) for cell in refine(relabeled(g, perm), moved, start)] == [
+                {perm[v] for v in cell} for cell in refine(g, cells, start)
+            ], (g, cells, start)
 
     def test_never_merges(self):
         g = gp(GpParams(5, 2))
@@ -262,6 +341,21 @@ class TestCanonicalForm:
         assert is_isomorphic(gp(GpParams(14, 5)), gp(GpParams(14, 3)))
         assert is_isomorphic(gp(GpParams(22, 9)), gp(GpParams(22, 5)))
         assert not is_isomorphic(gp(GpParams(14, 5)), gp(GpParams(14, 1)))
+
+    @pytest.mark.parametrize("n", [24, 36, 48, 60])
+    def test_gp_classes_at_workload_sizes(self, n):
+        # Steimle-Staton: GP(n,k) and GP(n,l) are isomorphic iff
+        # l = +-k or kl = +-1 (mod n).
+        rng = random.Random(n)
+        ks = range(1, (n - 1) // 2 + 1)
+        forms = {k: canonical_form(gp(GpParams(n, k))) for k in ks}
+        for k in ks:
+            for l in ks:
+                same = (l - k) % n == 0 or (l + k) % n == 0 or (k * l) % n in (1, n - 1)
+                assert (forms[k] == forms[l]) == same, (n, k, l)
+            perm = list(range(2 * n))
+            rng.shuffle(perm)
+            assert canonical_form(relabeled(gp(GpParams(n, k)), perm)) == forms[k], (n, k)
 
     def test_agrees_with_networkx(self):
         rng = random.Random(41)
