@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 from functools import lru_cache
+from itertools import compress
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 Edge = tuple[int, int]
@@ -50,12 +52,16 @@ def graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
 
 @lru_cache(maxsize=2048)
 def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbor lists, indexed by vertex."""
+    """Sorted neighbor lists, indexed by vertex.
+
+    The edges are sorted pairs (u, v) with u < v, so each list fills in
+    ascending order: first the smaller neighbours, then the larger ones.
+    """
     adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    return tuple(tuple(sorted(a)) for a in adj)
+    return tuple(map(tuple, adj))
 
 
 @lru_cache(maxsize=2048)
@@ -70,10 +76,6 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
 
 def degrees(g: Graph) -> tuple[int, ...]:
     return tuple(len(a) for a in adjacency(g))
-
-
-def is_regular(g: Graph, degree: int) -> bool:
-    return all(d == degree for d in degrees(g))
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -159,11 +161,20 @@ def girth(g: Graph) -> Optional[int]:
 # graph6 interchange format (McKay's ASCII packing of the upper triangle)
 
 _G6_MAX = 258047
+_G6_CHARS = bytes(range(63, 127))
+_PLUS_63 = bytes(range(63, 256)) + bytes(range(63))
+_MINUS_63 = bytes(range(193, 256)) + bytes(range(193))
+# _SET_BITS[c]: offsets j in 0..5 of the set bits of a 6-bit value c, where
+# offset j is the bit 32 >> j (graph6 packs the first position highest).
+_SET_BITS = tuple(tuple(j for j in range(6) if c & (32 >> j)) for c in range(64))
 
 
 def encode_graph6(g: Graph) -> str:
     """Standard graph6 string: size header, then the upper-triangle bits
-    x(0,1) x(0,2) x(1,2) x(0,3) ... packed 6 per character, offset by 63."""
+    x(0,1) x(0,2) x(1,2) x(0,3) ... packed 6 per character, offset by 63.
+
+    Python sets one bit per edge; the offset is a single ``bytes.translate``.
+    """
     n = g.vertex_count
     if n > _G6_MAX:
         raise ValueError(f"graph6 supports at most {_G6_MAX} vertices")
@@ -175,25 +186,36 @@ def encode_graph6(g: Graph) -> str:
     bits = bytearray((nbits + 5) // 6)
     for u, v in g.edges:
         pos = v * (v - 1) // 2 + u  # u < v by canonical storage
-        bits[pos // 6] |= 1 << (5 - pos % 6)
-    return header + "".join(chr(63 + b) for b in bits)
+        bits[pos // 6] |= 32 >> (pos % 6)
+    return header + bits.translate(_PLUS_63).decode("ascii")
 
 
 def decode_graph6(s: str | bytes) -> Graph:
-    """Inverse of encode_graph6; strict about length and character range."""
-    if isinstance(s, bytes):
-        s = s.decode("ascii")
+    """Inverse of encode_graph6, strict enough that encode_graph6 gives the
+    input back (less an optional ``>>graph6<<`` header and trailing newlines).
+
+    Raises GraphFormatError, in this order, for an empty string; a character
+    or byte outside '?'..'~' (the first one is named); a malformed long size
+    header; a bit field that is truncated or followed by trailing garbage;
+    and non-zero padding bits after the last upper-triangle position.  The
+    range check and the offset run in C, and Python visits only the non-zero
+    bytes of the bit field, so the cost follows the edges, not n².
+    """
+    from_bytes = isinstance(s, bytes)
+    if from_bytes:
+        s = s.decode("latin-1")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     s = s.rstrip("\n")
     if not s:
         raise GraphFormatError("empty graph6 string")
-    vals = []
-    for ch in s:
-        code = ord(ch) - 63
-        if not 0 <= code <= 63:
-            raise GraphFormatError(f"character {ch!r} outside graph6 range")
-        vals.append(code)
+    raw = s.encode("utf-8", "surrogatepass")  # non-ASCII: bytes >= 0x80
+    if raw.translate(None, _G6_CHARS):
+        ch = next(c for c in s if not "?" <= c <= "~")
+        if from_bytes and not ch.isascii():
+            raise GraphFormatError(f"non-ASCII byte {ord(ch):#04x} outside graph6 range")
+        raise GraphFormatError(f"character {ch!r} outside graph6 range")
+    vals = raw.translate(_MINUS_63)
     if vals[0] == 63:  # '~': extended size header
         if len(vals) < 4 or vals[1] == 63:
             raise GraphFormatError("malformed graph6 size header")
@@ -208,13 +230,14 @@ def decode_graph6(s: str | bytes) -> Graph:
         raise GraphFormatError("truncated graph6 bit field")
     if len(body) > need:
         raise GraphFormatError("trailing garbage after graph6 bit field")
+    if body and body[-1] & ((1 << (6 * need - nbits)) - 1):
+        raise GraphFormatError("non-zero padding bits after graph6 bit field")
     edges = []
-    pos = 0
-    for v in range(1, n):
-        for u in range(v):
-            if body[pos // 6] & (1 << (5 - pos % 6)):
-                edges.append((u, v))
-            pos += 1
+    for i in compress(range(need), body):
+        for j in _SET_BITS[body[i]]:
+            pos = 6 * i + j
+            v = (1 + isqrt(8 * pos + 1)) // 2
+            edges.append((pos - v * (v - 1) // 2, v))
     return graph(n, edges)
 
 

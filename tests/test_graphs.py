@@ -3,7 +3,7 @@ from collections import deque
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gpcover.graphs import (
     Graph,
@@ -18,8 +18,10 @@ from gpcover.graphs import (
     graph,
     to_dot,
 )
+from gpcover.classify import classify
 from gpcover.families import GpParams, gp
-from gpcover.covers import kronecker_cover
+from gpcover.covers import kronecker_cover, quotient
+from gpcover.perms import from_triple
 
 
 def k4():
@@ -31,6 +33,45 @@ def random_graph(rng, max_n=40):
     p = rng.random()
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph(n, edges)
+
+
+def nx_graph6(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.vertex_count))
+    nxg.add_edges_from(g.edges)
+    return nx.to_graph6_bytes(nxg, header=False).strip().decode()
+
+
+def nx_edges(nxg):
+    return sorted(map(tuple, map(sorted, nxg.edges())))
+
+
+def canonical_quotient(n, k):
+    c = classify(GpParams(n, k))
+    return c, quotient(gp(GpParams(n, k)), from_triple(n, k, c.canonical_involution))
+
+
+class TestAdjacency:
+    @staticmethod
+    def reference(g):
+        return tuple(
+            tuple(sorted([v for u, v in g.edges if u == x] + [u for u, v in g.edges if v == x]))
+            for x in range(g.vertex_count)
+        )
+
+    def test_sorted_on_random_graphs(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            g = random_graph(rng)
+            assert adjacency(g) == self.reference(g)
+
+    def test_sorted_on_decoded_graphs(self):
+        rng = random.Random(19)
+        for _ in range(30):
+            g = decode_graph6(encode_graph6(random_graph(rng, max_n=70)))
+            assert adjacency(g) == self.reference(g)
+        g = decode_graph6(encode_graph6(canonical_quotient(420, 29)[1]))
+        assert adjacency(g) == self.reference(g)
 
 
 class TestConstruction:
@@ -179,23 +220,48 @@ class TestGraph6:
         rng = random.Random(3)
         for _ in range(60):
             g = random_graph(rng)
-            nxg = nx.Graph()
-            nxg.add_nodes_from(range(g.vertex_count))
-            nxg.add_edges_from(g.edges)
-            theirs = nx.to_graph6_bytes(nxg, header=False).strip().decode()
-            assert encode_graph6(g) == theirs
+            assert encode_graph6(g) == nx_graph6(g)
             back = nx.from_graph6_bytes(encode_graph6(g).encode())
-            assert sorted(map(tuple, map(sorted, back.edges()))) == list(g.edges)
+            assert nx_edges(back) == list(g.edges)
+
+    @pytest.mark.parametrize("density", ["sparse", "dense"])
+    @pytest.mark.parametrize("n", [62, 63, 64, 127, 600])
+    def test_matches_networkx_at_workload_sizes(self, n, density):
+        rng = random.Random(f"{n}/{density}")
+        p = 3 / n if density == "sparse" else 0.5
+        g = graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+        s = encode_graph6(g)
+        assert s == nx_graph6(g)
+        assert s.startswith("~") == (n > 62)
+        back = nx.from_graph6_bytes(s.encode())
+        assert back.number_of_nodes() == n and nx_edges(back) == list(g.edges)
+        assert decode_graph6(s) == g
+
+    @pytest.mark.parametrize("n, k, case", [
+        (402, 37, "A1"), (402, 101, "A2"), (420, 29, "B1"), (408, 103, "B2"),
+    ])
+    def test_quotient_round_trip_past_oracle_bound(self, n, k, case):
+        c, q = canonical_quotient(n, k)
+        assert c.case.value == case
+        s = encode_graph6(q)
+        assert decode_graph6(s) == q
+        assert s == nx_graph6(q)
+
+    @pytest.mark.parametrize("n, text", [(0, "?"), (1, "@")])
+    def test_no_bit_field(self, n, text):
+        g = graph(n, [])
+        assert encode_graph6(g) == text
+        assert decode_graph6(text) == decode_graph6(text.encode()) == g
+        assert text == nx_graph6(g)
+        with pytest.raises(GraphFormatError, match="trailing"):
+            decode_graph6(text + "?")
 
     def test_long_form_header(self):
         g = graph(100, [(0, 99), (1, 2)])
         s = encode_graph6(g)
         assert s.startswith("~")
         assert decode_graph6(s) == g
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(100))
-        nxg.add_edges_from(g.edges)
-        assert s == nx.to_graph6_bytes(nxg, header=False).strip().decode()
+        assert s == nx_graph6(g)
 
     def test_decode_accepts_bytes_and_header(self):
         assert decode_graph6(b"C~") == k4()
@@ -213,18 +279,50 @@ class TestGraph6:
         with pytest.raises(GraphFormatError):
             decode_graph6("C\x1f")
 
+    def test_first_bad_character_named(self):
+        with pytest.raises(GraphFormatError, match=r"character '\\x1f' outside"):
+            decode_graph6("C~\x1f\xff")
+        with pytest.raises(GraphFormatError, match="character 'é' outside"):
+            decode_graph6("Cé\x1f")
+
+    @pytest.mark.parametrize("raw", [b"\xffC", b"C\x80", b">>graph6<<C\xe9\n"])
+    def test_non_ascii_byte_named(self, raw):
+        bad = next(b for b in raw if b >= 0x80)
+        with pytest.raises(GraphFormatError, match=f"non-ASCII byte {bad:#04x}"):
+            decode_graph6(raw)
+
+    @pytest.mark.parametrize("text", ["B~", "Bx", "A`", "A@", "D~~"])
+    def test_nonzero_padding_rejected(self, text):
+        with pytest.raises(GraphFormatError, match="padding"):
+            decode_graph6(text)
+
+    def test_nonzero_padding_rejected_after_long_header(self):
+        s = encode_graph6(graph(65, [(u, v) for v in range(65) for u in range(v)]))
+        assert s.endswith("{")  # 2080 bits: the last character holds 4 and 2 padding
+        assert decode_graph6(s).edges[-1] == (63, 64)
+        with pytest.raises(GraphFormatError, match="padding"):
+            decode_graph6(s[:-1] + "|")
+
+    @pytest.mark.parametrize("text", ["Bw", "A_", "D~{"])
+    def test_full_last_character_accepted(self, text):
+        assert encode_graph6(decode_graph6(text)) == text
+
     def test_malformed_long_header_rejected(self):
         with pytest.raises(GraphFormatError):
             decode_graph6("~~")
 
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126),
                    min_size=0, max_size=12))
+    @example("B~")
+    @example(">>graph6<<Bw")
     def test_decode_never_crashes_unexpectedly(self, s):
         try:
             g = decode_graph6(s)
         except GraphFormatError:
             return
         assert isinstance(g, Graph)
+        body = s[len(">>graph6<<"):] if s.startswith(">>graph6<<") else s
+        assert encode_graph6(g) == body.rstrip("\n")
 
 
 class TestDot:
