@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (invalid parameters, degenerate
-constructions), 2 usage error.  Machine-readable output goes to stdout,
-diagnostics to stderr.
+constructions) or an output file that cannot be written, 2 usage error.
+Machine-readable output goes to stdout, diagnostics to stderr.
 """
 from __future__ import annotations
 
@@ -37,6 +37,16 @@ def _at_least(low: int):
         return value
     parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
     return parse
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is an error that
+    names it and the system's reason."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _build_parser() -> _Parser:
@@ -129,19 +139,19 @@ def _cmd_quotient(args) -> int:
     q = quotient(g, perm)
     print(encode_graph6(q))
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(q))
+        _write_text(args.dot, to_dot(q))
     return 0
 
 
 def _cmd_kc(args) -> int:
     if args.gp:
         try:
-            n_str, k_str = args.gp.split(",")
-            p = GpParams(int(n_str), int(k_str))
-        except ValueError as exc:
-            raise ValueError(f"bad --gp value {args.gp!r}: {exc}") from exc
-        base = gp(p)
+            n, k = (int(part) for part in args.gp.split(","))
+        except ValueError:
+            raise ValueError(
+                f"bad --gp value {args.gp!r}: expected N,K, two integers"
+            ) from None
+        base = gp(GpParams(n, k))
     else:
         base = decode_graph6(args.g6)
     print(encode_graph6(kronecker_cover(base)))
@@ -158,8 +168,7 @@ def _cmd_census(args) -> int:
             text = rows_to_csv(rows)
         else:
             raise ValueError(f"--out must end in .csv or .json, got {args.out!r}")
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(rows_to_csv(rows))
@@ -185,8 +194,7 @@ def _cmd_export(args) -> int:
     g = QuotientDesc(args.family, args.n, args.k).materialize()
     print(encode_graph6(g))
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(g))
+        _write_text(args.dot, to_dot(g))
     return 0
 
 

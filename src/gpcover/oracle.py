@@ -3,17 +3,21 @@ isomorphism testing, and exhaustive covering-involution search.
 
 Everything here is exact.  Searches are guided by equitable partition
 refinement (1-dimensional color refinement) but never trust it alone:
-automorphisms come from full backtracking and canonical forms minimize over
-a complete individualization-refinement tree, with discovered automorphisms
-used only to skip provably equivalent branches.
+automorphisms come from full backtracking, and a canonical form is the least
+leaf certificate of the individualization-refinement tree.  That search
+prunes only subtrees that provably hold no smaller certificate, by three
+rules of McKay & Piperno (2014): automorphism backjumps, stabilizer orbits
+along the first path, and a node invariant (the cell sizes along the path)
+compared with the best leaf's.
 
 Refinement takes its splitters from a queue and re-examines only the cells
-next to a cell that just split.  The root of each search queues every cell;
-below the root of the canonical-form tree only the individualized vertex is
-queued, because its parent partition was already equitable.  Every choice
-the refinement makes depends on cell positions and neighbor counts, never on
-vertex names, so it commutes with relabeling, which the canonical form
-relies on.
+next to a cell that just split; a split moves only the splitter's
+neighbors, so cells keep no sorted order.  The root of each search queues
+every cell; below the root of the canonical-form tree only the
+individualized vertex is queued, because its parent partition was already
+equitable.  Every choice the refinement makes depends on cell positions and
+neighbor counts, never on vertex names, so the sequence of cells commutes
+with relabeling, which the canonical form relies on.
 
 Covering involutions come from the same backtracking engine in a pruned
 mode that applies the involution clauses at every node, so it never
@@ -92,26 +96,35 @@ def _refine_cells(
     vertex's count into C minus v is its count into C, which is the same
     across its cell, minus its count into (v,).
 
-    The result commutes with relabeling, because every choice depends only
-    on positions and counts, never on vertex names: touched cells split in
-    position order, pieces go in ascending count order, a split cell that
-    was queued has all its pieces queued and any other split cell all but
-    its first largest piece.  Leaving that piece out is sound for the same
-    reason as the singleton seed: counts into it are counts into the old
-    cell minus counts into the other pieces.  Each piece lists its vertices
-    in ascending order; a cell that never splits keeps the input's order.
+    A split moves only the splitter's neighbors: each is swapped into the
+    tail of its cell with an untouched member found there, and the tail is
+    grouped by ascending count.  The members with count 0 stay in place as
+    the first piece; one is visited only if it sat in that tail.  So cells
+    keep no sorted order: the order inside a cell is an accident of the
+    splits, and only the set of each cell is promised.
+
+    The sequence of cells commutes with relabeling, because every choice
+    depends only on positions and counts, never on vertex names: touched
+    cells split in position order, pieces go in ascending count order, a
+    split cell that was queued has all its pieces queued and any other split
+    cell all but its first largest piece.  Leaving that piece out is sound
+    for the same reason as the singleton seed: counts into it are counts
+    into the old cell minus counts into the other pieces.  A cell that never
+    splits keeps the input's order.
     """
     order = [v for cell in cells for v in cell]
     n = len(order)
+    pos = [0] * n  # position of each vertex in order
     start_of = [0] * n  # start position of each vertex's cell
     size = [0] * n  # size[s]: length of the cell starting at s
     starts = []
     s = 0
     for cell in cells:
-        for v in cell:
-            start_of[v] = s
         size[s] = len(cell)
         starts.append(s)
+        for i, v in enumerate(cell, s):
+            start_of[v] = s
+            pos[v] = i
         s += len(cell)
     queue = deque(starts if _splitter is None else [_splitter])
     queued = [False] * n
@@ -121,34 +134,87 @@ def _refine_cells(
     while queue:
         s = queue.popleft()
         queued[s] = False
-        touched = []
-        for u in order[s:s + size[s]]:
-            for w in adj[u]:
-                if not count[w]:
-                    touched.append(w)
-                count[w] += 1
-        for c in sorted({start_of[w] for w in touched if size[start_of[w]] > 1}):
-            groups: dict[int, list[int]] = {}
-            for v in order[c:c + size[c]]:
-                groups.setdefault(count[v], []).append(v)
-            if len(groups) == 1:
+        singleton = size[s] == 1  # then every touched count is 1
+        if singleton:
+            touched = adj[order[s]]
+            for w in touched:
+                count[w] = 1
+        else:
+            touched = []
+            for u in order[s:s + size[s]]:
+                for w in adj[u]:
+                    if not count[w]:
+                        touched.append(w)
+                    count[w] += 1
+        hit: dict[int, list[int]] = {}
+        for w in touched:
+            c = start_of[w]
+            if size[c] > 1:
+                if c in hit:
+                    hit[c].append(w)
+                else:
+                    hit[c] = [w]
+        for c in sorted(hit) if len(hit) > 1 else hit:
+            members = hit[c]
+            m = len(members)
+            rest = size[c] - m  # members with count 0
+            split_by_count = not singleton and len({count[w] for w in members}) > 1
+            if not (rest or split_by_count):
                 continue
-            pieces = [sorted(groups[k]) for k in sorted(groups)]
-            largest = pieces.index(max(pieces, key=len))
+            # Swap the touched members into the tail of the cell, each with
+            # an untouched member found there.
+            tail = j = c + rest
+            for w in members:
+                p = pos[w]
+                if p < tail:
+                    while count[order[j]]:
+                        j += 1
+                    x = order[j]
+                    order[p] = x
+                    pos[x] = p
+                    order[j] = w
+                    pos[w] = j
+                    j += 1
+            size[c] = rest
+            if not split_by_count:
+                # Two pieces: queue the tail unless it is the first largest
+                # of an unqueued cell.
+                size[tail] = m
+                for w in members:
+                    start_of[w] = tail
+                q = tail if queued[c] or rest >= m else c
+                queued[q] = True
+                queue.append(q)
+                continue
+            groups: dict[int, list[int]] = {}
+            for w in members:
+                groups.setdefault(count[w], []).append(w)
+            pieces = [c] if rest else []
+            p = tail
+            for k in sorted(groups):
+                group = groups[k]
+                pieces.append(p)
+                size[p] = len(group)
+                for w in group:
+                    order[p] = w
+                    pos[w] = p
+                    start_of[w] = pieces[-1]
+                    p += 1
+            sizes = [size[q] for q in pieces]
+            largest = sizes.index(max(sizes))
             queue_all = queued[c]
-            p = c
-            for i, piece in enumerate(pieces):
-                order[p:p + len(piece)] = piece
-                size[p] = len(piece)
-                for v in piece:
-                    start_of[v] = p
-                if not queued[p] and (queue_all or i != largest):
-                    queued[p] = True
-                    queue.append(p)
-                p += len(piece)
+            for i, q in enumerate(pieces):
+                if not queued[q] and (queue_all or i != largest):
+                    queued[q] = True
+                    queue.append(q)
         for w in touched:
             count[w] = 0
-    return [tuple(order[s:s + size[s]]) for s in sorted(set(start_of))]
+    result = []
+    s = 0
+    while s < n:
+        result.append(tuple(order[s:s + size[s]]))
+        s += size[s]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -321,105 +387,191 @@ def _canonical_edges(g: Graph) -> tuple[tuple[int, int], ...]:
     return _canonical_edges_connected(g)
 
 
-def _canonical_edges_connected(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Minimum, over all leaves of the individualization-refinement tree, of
-    the relabeled sorted edge tuple.  Known automorphisms prune sibling
-    branches at the root level (subtrees of vertices in one orbit enumerate
-    the same edge tuples), and nodes whose partition already determines the
-    edge set are emitted directly."""
-    n = g.vertex_count
-    adj = adjacency(g)
-    base = _refine_cells(adj, [tuple(range(n))]) if n else []
+class _Node:
+    """An inner node of the canonical-form search tree on the current path.
 
-    best: Optional[tuple[tuple[int, int], ...]] = None
-    best_labeling: Optional[list[int]] = None
+    ``tied`` says whether the shapes along the path down to this node equal
+    the best leaf's; ``orbits`` is set only on the first path, where it is
+    the union-find of the automorphisms found so far that fix the path's
+    individualized vertices above this node."""
 
-    uf = list(range(n))
+    __slots__ = ("cells", "target", "start", "untried", "done", "tied", "orbits")
 
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
+    def __init__(self, cells, target, start, tied, orbits):
+        self.cells = cells
+        self.target = target
+        self.start = start
+        self.untried = iter(cells[target])
+        self.done: list[int] = []
+        self.tied = tied
+        self.orbits = orbits
 
-    def note_automorphism(sigma: Sequence[int]) -> None:
-        for x in range(n):
-            rx, ry = find(x), find(sigma[x])
-            if rx != ry:
-                uf[rx] = ry
 
-    def leaf(cells: list[tuple[int, ...]]) -> None:
-        nonlocal best, best_labeling
-        labeling = [0] * n
-        for new, cell in enumerate(cells):
-            labeling[cell[0]] = new
-        edges = []
-        for u, v in g.edges:
-            lu, lv = labeling[u], labeling[v]
-            edges.append((lu, lv) if lu < lv else (lv, lu))
-        candidate = tuple(sorted(edges))
-        if best is None or candidate < best:
-            best = candidate
-            best_labeling = labeling
-        elif candidate == best and best_labeling is not None:
-            inv_best = [0] * n
-            for v, lab in enumerate(best_labeling):
-                inv_best[lab] = v
-            note_automorphism([inv_best[labeling[v]] for v in range(n)])
+def _find(uf: list[int], x: int) -> int:
+    while uf[x] != x:
+        uf[x] = uf[uf[x]]
+        x = uf[x]
+    return x
 
-    def homogeneous(cells: list[tuple[int, ...]]) -> bool:
-        # In an equitable partition all members of a cell have the same
-        # neighbor count per cell, so one representative decides.  If every
-        # cell is internally complete/empty and every cell pair is joined
-        # completely or not at all, edges depend on cell membership only and
-        # every discrete refinement below yields the same relabeled edges.
-        cell_of = [0] * n
-        for ci, cell in enumerate(cells):
-            for v in cell:
-                cell_of[v] = ci
-        for ci, cell in enumerate(cells):
-            counts = [0] * len(cells)
-            for w in adj[cell[0]]:
-                counts[cell_of[w]] += 1
-            if len(cell) > 1 and counts[ci] not in (0, len(cell) - 1):
+
+def _homogeneous(adj: Sequence[Sequence[int]], cells: list[tuple[int, ...]]) -> bool:
+    """Whether edges depend on cell membership only: every cell is complete
+    or empty inside and every pair of cells is joined completely or not at
+    all.  Then every discrete refinement below yields the same relabeled
+    edges.  The partition is equitable, so one member per cell decides."""
+    cell_of = [0] * len(adj)
+    for ci, cell in enumerate(cells):
+        for v in cell:
+            cell_of[v] = ci
+    for ci, cell in enumerate(cells):
+        counts: dict[int, int] = {}
+        for w in adj[cell[0]]:
+            cj = cell_of[w]
+            counts[cj] = counts.get(cj, 0) + 1
+        for cj, k in counts.items():
+            if k != len(cells[cj]) - (cj == ci):
                 return False
-            for cj, other in enumerate(cells):
-                if cj != ci and counts[cj] not in (0, len(other)):
-                    return False
-        return True
+    return True
 
-    def rec(cells: list[tuple[int, ...]], depth: int) -> None:
-        # cells is equitable: refined in full at the root, from the new
-        # singleton below it.
+
+def _relabeled_edges(g: Graph, order: list[int]) -> tuple[tuple[int, int], ...]:
+    """g's sorted edge tuple after relabeling order[p] as p."""
+    label = [0] * len(order)
+    for p, v in enumerate(order):
+        label[v] = p
+    edges = []
+    for u, v in g.edges:
+        lu, lv = label[u], label[v]
+        edges.append((lu, lv) if lu < lv else (lv, lu))
+    return tuple(sorted(edges))
+
+
+def _next_child(adj, node: _Node, bound: Optional[tuple[int, ...]]):
+    """The next child of node that no rule prunes, as (vertex, refined
+    cells, shape, tied), or None.  ``bound`` is the best leaf's shape one
+    level down when the path is tied with it, else None."""
+    cells, t = node.cells, node.target
+    for v in node.untried:
+        if node.orbits is not None:
+            rv = _find(node.orbits, v)
+            if any(_find(node.orbits, u) == rv for u in node.done):
+                continue
+        node.done.append(v)
+        child = _refine_cells(
+            adj,
+            cells[:t] + [(v,), tuple(x for x in cells[t] if x != v)] + cells[t + 1:],
+            node.start,
+        )
+        shape = tuple(map(len, child))
+        if bound is None:
+            return v, child, shape, node.tied
+        if shape <= bound:
+            return v, child, shape, shape == bound
+    return None
+
+
+def _canonical_edges_connected(g: Graph) -> tuple[tuple[int, int], ...]:
+    """The relabeled sorted edge tuple of the least leaf of the
+    individualization-refinement tree (McKay & Piperno 2014).
+
+    A node is an equitable partition: the root is refined in full, and a
+    child individualizes one vertex of the first smallest non-singleton cell
+    and is refined from that singleton.  A node's shape is the tuple of its
+    cell sizes.  A node is a leaf when its partition is discrete, or when
+    its edges depend on cell membership only (then every discrete partition
+    below it gives the same edges).  A leaf's certificate is the pair (the
+    shapes along its path, its relabeled sorted edge tuple), and leaves are
+    ordered by certificate.  The individualized vertex of each level keeps
+    its position down to the leaf, and those positions follow from the
+    shapes, so two leaves with equal certificates differ by an automorphism
+    that maps one path onto the other.
+
+    The search keeps the first leaf and the best leaf and prunes by three
+    rules, none of which can lose the least certificate:
+
+    - automorphism backjump: a leaf whose certificate equals a reference
+      leaf's gives an automorphism mapping its path onto that leaf's path,
+      so the search returns straight to the depth where the two paths part;
+    - stabilizer orbits: at a node of the first path, a child in the orbit
+      of an explored sibling under the automorphisms found so far that fix
+      the path above it is skipped;
+    - node invariant: where the path's shapes equal the best leaf's, a child
+      whose shape is greater than the best path's at that depth is skipped,
+      and below a smaller one every leaf beats the best.
+
+    The search keeps its own stack and builds no closures, so it leaves no
+    reference cycles behind."""
+    n = g.vertex_count
+    if not n:
+        return ()
+    adj = adjacency(g)
+    cells = _refine_cells(adj, [tuple(range(n))])
+    tied = True
+    path: list[int] = []  # the vertex individualized at each depth
+    shapes = [tuple(map(len, cells))]
+    nodes: list[_Node] = []  # the inner nodes above the current node
+    # Reference leaves as (certificate, vertex order, path).
+    first: Optional[tuple] = None
+    best: Optional[tuple] = None
+    while True:
         target = -1
-        target_size = n + 1
         start = target_start = 0
         for ci, cell in enumerate(cells):
-            if 1 < len(cell) < target_size:
-                target, target_size, target_start = ci, len(cell), start
+            if len(cell) > 1 and (target < 0 or len(cell) < len(cells[target])):
+                target, target_start = ci, start
             start += len(cell)
-        if target < 0:
-            leaf(cells)
-            return
-        if homogeneous(cells):
-            leaf([(v,) for cell in cells for v in cell])
-            return
-        cell = cells[target]
-        done: list[int] = []
-        for v in cell:
-            if depth == 0 and any(find(v) == find(u) for u in done):
-                continue
-            child = (
-                cells[:target]
-                + [(v,), tuple(x for x in cell if x != v)]
-                + cells[target + 1:]
-            )
-            rec(_refine_cells(adj, child, target_start), depth + 1)
-            done.append(v)
-
-    if n:
-        rec(base, 0)
-    return best if best is not None else ()
+        if target >= 0 and not _homogeneous(adj, cells):
+            orbits = list(range(n)) if first is None else None
+            nodes.append(_Node(cells, target, target_start, tied, orbits))
+        else:
+            order = [v for cell in cells for v in cell]
+            cert = (tuple(shapes), _relabeled_edges(g, order))
+            back = len(path) - 1  # the depth to resume at
+            if first is None:
+                first = best = (cert, order, path[:])
+            elif cert == first[0] or cert == best[0]:
+                _, ref_order, ref_path = first if cert == first[0] else best
+                gamma = [0] * n
+                for v, x in zip(order, ref_order):
+                    gamma[v] = x
+                # gamma fixes the first path down to some depth; it joins the
+                # orbits of every first-path node down to there.
+                for d, node in enumerate(nodes):
+                    if node.orbits is None or (d and gamma[first[2][d - 1]] != first[2][d - 1]):
+                        break
+                    uf = node.orbits
+                    for x, y in enumerate(gamma):
+                        if x != y:
+                            rx, ry = _find(uf, x), _find(uf, y)
+                            if rx != ry:
+                                uf[rx] = ry
+                back = 0
+                while path[back] == ref_path[back]:
+                    back += 1
+            elif cert < best[0]:
+                best = (cert, order, path[:])
+                for node in nodes:
+                    node.tied = True
+            del nodes[back + 1:]
+        # Descend into the next child of the deepest node that has one.
+        while nodes:
+            d = len(nodes) - 1
+            del path[d:]
+            del shapes[d + 1:]
+            node = nodes[d]
+            bound = None
+            if node.tied and best is not None:
+                best_shapes = best[0][0]
+                bound = best_shapes[d + 1] if d + 1 < len(best_shapes) else ()
+            found = _next_child(adj, node, bound)
+            if found is not None:
+                v, cells, shape, tied = found
+                path.append(v)
+                shapes.append(shape)
+                break
+            nodes.pop()
+        else:
+            return best[0][1]
 
 
 @lru_cache(maxsize=4096)

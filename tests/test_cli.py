@@ -128,6 +128,18 @@ class TestKcCommand:
         code, _, err = run(capsys, "kc", "--gp", "5;2")
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["5", "5,2,1", "five,2"])
+    def test_bad_gp_value_names_the_expected_shape(self, capsys, value):
+        code, out, err = run(capsys, "kc", "--gp", value)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad --gp value {value!r}: expected N,K, two integers\n"
+
+    def test_gp_value_out_of_range_keeps_its_reason(self, capsys):
+        code, _, err = run(capsys, "kc", "--gp", "4,2")
+        assert code == 1
+        assert "k < n/2" in err
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, _ = run(capsys, "kc")
         assert code == 2
@@ -275,6 +287,22 @@ class TestExportCommand:
         code, _, err = run(capsys, "export", "--family", "gp")
         assert code == 1
         assert "requires" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quotient", "--n", "10", "--k", "3", "--dot"],
+        ["export", "--family", "h", "--dot"],
+        ["census", "--max-n", "8", "--out"],
+    ],
+    ids=["quotient", "export", "census"],
+)
+def test_unwritable_output_path_is_one_error_line(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / ("out.csv" if argv[0] == "census" else "out.dot")
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
 def test_module_entry_point():

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import sys
@@ -6,11 +7,12 @@ import networkx as nx
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from gpcover.graphs import adjacency, bipartition, degrees, graph
+from gpcover.graphs import adjacency, bipartition, connected_components, degrees, graph
 from gpcover.families import GpParams, gp, h_graph
 from gpcover.covers import is_kronecker_involution, kronecker_cover, quotient
 from gpcover.perms import WordTriple, compose, from_triple, identity, inverse
 from gpcover.classify import involution_family
+from gpcover import oracle
 from gpcover.oracle import (
     SearchBoundExceeded,
     _refine_cells,
@@ -67,18 +69,27 @@ def is_equitable(g, cells):
     )
 
 
+def from_nx(nxg):
+    nxg = nx.convert_node_labels_to_integers(nxg)
+    return graph(nxg.number_of_nodes(), nxg.edges())
+
+
 def refinement_cases():
     """Random graphs and GP(n,k): the unit partition, and the partitions
     after individualizing 1-3 vertices, each seeded with the singleton only
-    as the canonical-form search does."""
+    as the canonical-form search does.  Random regular graphs on up to 60
+    vertices keep large cells, so splits swap many members to a cell's
+    tail."""
     rng = random.Random(23)
-    graphs = [gp(GpParams(n, k)) for n in (5, 8, 10, 12, 13, 24, 30)
+    graphs = [gp(GpParams(n, k)) for n in (5, 8, 10, 12, 13, 24, 30, 60)
               for k in range(1, (n - 1) // 2 + 1)]
     for _ in range(60):
         n = rng.randint(1, 16)
         p = rng.random()
         graphs.append(graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                 if rng.random() < p]))
+    for d, n in [(3, 40), (3, 60), (4, 45), (5, 50), (6, 60), (8, 36)]:
+        graphs.append(from_nx(nx.random_regular_graph(d, n, seed=n + d)))
     for g in graphs:
         cells = [tuple(range(g.vertex_count))]
         yield g, cells, None
@@ -428,6 +439,154 @@ class TestCanonicalForm:
         c = graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])  # triangle + edge
         assert is_isomorphic(a, b)
         assert not is_isomorphic(a, c)
+
+
+def soundness_pool():
+    """Graphs on which the canonical-form search prunes by automorphisms and
+    node invariants: named graphs with large groups, circulants C_n(1,j),
+    random 3- and 4-regular graphs and disjoint unions."""
+    named = [
+        nx.petersen_graph(), nx.dodecahedral_graph(), nx.desargues_graph(),
+        nx.heawood_graph(), nx.moebius_kantor_graph(), nx.pappus_graph(),
+        nx.hypercube_graph(4), nx.paley_graph(13).to_undirected(),
+        nx.paley_graph(17).to_undirected(), nx.complete_bipartite_graph(4, 4),
+        nx.icosahedral_graph(), nx.tutte_graph(), nx.frucht_graph(),
+    ]
+    circulants = [nx.circulant_graph(n, [1, j])
+                  for n in range(8, 25) for j in range(2, n // 2 + 1)]
+    regular = [nx.random_regular_graph(d, n, seed=10 * n + d)
+               for d in (3, 4) for n in range(8, 31, 2)]
+    unions = [
+        nx.disjoint_union(nx.petersen_graph(), nx.petersen_graph()),
+        nx.disjoint_union(nx.heawood_graph(), nx.cycle_graph(14)),
+    ]
+    return [from_nx(h) for h in named + circulants + regular + unions]
+
+
+def latin_square_graph(n, seed):
+    """The Latin square graph of a random order-n Latin square: cells are
+    adjacent when they share a row, a column or a symbol.  It is strongly
+    regular, so refinement splits nothing at the root, and it has few
+    automorphisms, so the search tree is deep and its pruning matters."""
+    rng = random.Random(seed)
+    square = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for _ in range(200):
+        # Swap two rows on the cycle of columns where they trade symbols.
+        r1, r2 = rng.sample(range(n), 2)
+        cols = [rng.randrange(n)]
+        while (c := square[r1].index(square[r2][cols[-1]])) != cols[0]:
+            cols.append(c)
+        for c in cols:
+            square[r1][c], square[r2][c] = square[r2][c], square[r1][c]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    return graph(n * n, [
+        (a, b)
+        for a, (i, j) in enumerate(cells)
+        for b, (k, l) in enumerate(cells)
+        if a < b and (i == k or j == l or square[i][j] == square[k][l])
+    ])
+
+
+def least_certificate_edges(g):
+    """The second route for the pruned search: the edges of the least leaf
+    certificate (shapes along the path, relabeled sorted edges) over the
+    whole individualization-refinement tree, with nothing pruned."""
+    adj = adjacency(g)
+    best = None
+    stack = [[_refine_cells(adj, [tuple(range(g.vertex_count))])]]
+    while stack:
+        path = stack.pop()
+        cells = path[-1]
+        open_cells = [i for i, cell in enumerate(cells) if len(cell) > 1]
+        if not open_cells or oracle._homogeneous(adj, cells):
+            label = {v: p for p, v in enumerate(v for cell in cells for v in cell)}
+            edges = tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in g.edges))
+            certificate = (tuple(tuple(map(len, c)) for c in path), edges)
+            best = certificate if best is None else min(best, certificate)
+            continue
+        t = min(open_cells, key=lambda i: len(cells[i]))
+        start = sum(len(cell) for cell in cells[:t])
+        for v in cells[t]:
+            child = cells[:t] + [(v,), tuple(x for x in cells[t] if x != v)] + cells[t + 1:]
+            stack.append(path + [_refine_cells(adj, child, start)])
+    return best[1]
+
+
+class TestCanonicalFormSoundness:
+    @pytest.mark.parametrize("n,seed", [(5, 1), (6, 0), (6, 1), (6, 2)])
+    def test_latin_square_graphs_match_the_unpruned_tree(self, n, seed):
+        g = latin_square_graph(n, seed)
+        base = oracle._canonical_edges(g)
+        assert base == least_certificate_edges(g)
+        rng = random.Random(seed)
+        for _ in range(5):
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            assert oracle._canonical_edges(relabeled(g, perm)) == base
+
+    def test_small_symmetric_graphs_match_the_unpruned_tree(self):
+        for g in soundness_pool():
+            if g.vertex_count <= 20 and len(connected_components(g)) == 1:
+                assert oracle._canonical_edges(g) == least_certificate_edges(g), g
+
+    def test_relabelings_give_identical_bytes(self):
+        rng = random.Random(37)
+        for g in soundness_pool():
+            base = canonical_form(g)
+            for _ in range(5):
+                perm = list(range(g.vertex_count))
+                rng.shuffle(perm)
+                assert canonical_form(relabeled(g, perm)) == base, g
+
+    def test_equal_forms_iff_networkx_isomorphic(self):
+        pool = soundness_pool()
+        for i, g in enumerate(pool):
+            for h in pool[i + 1:]:
+                if g.vertex_count != h.vertex_count:
+                    continue
+                nxg, nxh = nx.empty_graph(g.vertex_count), nx.empty_graph(h.vertex_count)
+                nxg.add_edges_from(g.edges)
+                nxh.add_edges_from(h.edges)
+                same = canonical_form(g) == canonical_form(h)
+                assert same == nx.is_isomorphic(nxg, nxh), (g, h)
+
+    def test_refine_calls_stay_under_the_root_pruned_search(self, monkeypatch):
+        # A search that prunes by automorphisms at the root only takes 10
+        # refinement calls on every GP(n,k) with n <= 60 but these.
+        root_pruned = {(4, 1): 21, (5, 2): 45, (8, 3): 19, (10, 2): 21,
+                       (10, 3): 45, (12, 5): 19, (24, 5): 19}
+        ceiling = {**root_pruned, (5, 2): 15, (10, 3): 15}
+        calls = []
+        refine_cells = oracle._refine_cells
+
+        def counted(*args):
+            calls.append(args)
+            return refine_cells(*args)
+
+        monkeypatch.setattr(oracle, "_refine_cells", counted)
+        for n in range(3, 61):
+            for k in range(1, (n - 1) // 2 + 1):
+                calls.clear()
+                oracle._canonical_edges(gp(GpParams(n, k)))
+                assert len(calls) <= ceiling.get((n, k), 10), (n, k, len(calls))
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        # Cyclic garbage lives until the cyclic collector runs, so it raises
+        # peak memory; the search must free everything by reference count.
+        rng = random.Random(307)
+        fresh = []
+        for g in (gp(GpParams(30, 7)), gp(GpParams(10, 3)), soundness_pool()[-1]):
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            fresh.append(relabeled(g, perm))
+        gc.disable()
+        try:
+            for g in fresh:
+                gc.collect()
+                canonical_form(g)
+                assert gc.collect() == 0, g
+        finally:
+            gc.enable()
 
 
 class TestQuotientClasses:
