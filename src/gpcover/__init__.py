@@ -16,12 +16,10 @@ from .families import (
     LcfSpec,
     c_minus,
     c_plus,
-    edge_classes,
     gp,
     h_graph,
     lcf,
     lcf_violations,
-    moebius_ladder,
 )
 from .perms import (
     Perm,
@@ -32,9 +30,7 @@ from .perms import (
     from_triple,
     identity,
     inverse,
-    involution_profile,
     is_automorphism,
-    normalize_word,
     power,
     reflection,
     rim_swap,
@@ -61,7 +57,6 @@ from .classify import (
     necessary_conditions,
     q_value,
     quotient_lcf,
-    symmetry_class,
     two_adic,
 )
 from .oracle import (

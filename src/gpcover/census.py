@@ -63,9 +63,11 @@ def _check_sweep(keys: list[tuple[int, int]]) -> None:
 
 
 def _map(fn, keys, jobs: int) -> list:
-    """fn over keys, in key order, serially or in jobs worker processes."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    """fn over keys, in key order, serially or in at most one worker
+    process per key."""
+    workers = min(jobs, len(keys))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, keys))
     return [fn(key) for key in keys]
 

@@ -256,24 +256,6 @@ _SYMMETRIC_PAIRS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SymmetryClass:
-    symmetric: bool
-    vertex_transitive: bool
-    cayley: bool
-
-
-def symmetry_class(p: GpParams) -> SymmetryClass:
-    """Arc-transitivity, vertex-transitivity and Cayley-ness of GP(n,k)."""
-    n, k = p.n, p.k
-    ksq = (k * k) % n
-    return SymmetryClass(
-        symmetric=(n, k) in _SYMMETRIC_PAIRS,
-        vertex_transitive=ksq in (1 % n, (n - 1) % n) or (n, k) == (10, 2),
-        cayley=ksq == 1 % n,
-    )
-
-
 def is_exceptional_pair(n: int, k: int) -> bool:
     """Pairs whose automorphism group exceeds the generic presentation."""
     return (n, k) in _SYMMETRIC_PAIRS

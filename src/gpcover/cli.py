@@ -62,9 +62,10 @@ def _build_parser() -> _Parser:
     p_quotient = sub.add_parser("quotient", help="quotient graph as graph6")
     p_quotient.add_argument("--n", type=int, required=True)
     p_quotient.add_argument("--k", type=int, required=True)
-    p_quotient.add_argument("--a", type=int, default=None,
+    involution = p_quotient.add_mutually_exclusive_group()
+    involution.add_argument("--a", type=int, default=None,
                             help="shift of the family member (default: canonical)")
-    p_quotient.add_argument("--delta", action="store_true",
+    involution.add_argument("--delta", action="store_true",
                             help="use the hexagonal-drawing involution of GP(10,3)")
     p_quotient.add_argument("--dot", metavar="FILE", default=None)
 
@@ -137,9 +138,9 @@ def _cmd_quotient(args) -> int:
     else:
         perm = from_triple(args.n, args.k, c.canonical_involution)
     q = quotient(g, perm)
-    print(encode_graph6(q))
     if args.dot:
         _write_text(args.dot, to_dot(q))
+    print(encode_graph6(q))
     return 0
 
 
@@ -192,9 +193,9 @@ def _cmd_export(args) -> int:
     if args.family != "h" and (args.n is None or args.k is None):
         raise ValueError(f"--family {args.family} requires --n and --k")
     g = QuotientDesc(args.family, args.n, args.k).materialize()
-    print(encode_graph6(g))
     if args.dot:
         _write_text(args.dot, to_dot(g))
+    print(encode_graph6(g))
     return 0
 
 

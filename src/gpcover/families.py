@@ -95,19 +95,6 @@ def gp(p: GpParams) -> Graph:
     return graph(2 * n, edges)
 
 
-def edge_classes(p: GpParams) -> tuple[tuple, tuple, tuple]:
-    """The (outer ring, inner rims, spokes) partition of E(GP(n,k))."""
-    n, k = p.n, p.k
-
-    def canon(u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u < v else (v, u)
-
-    outer = tuple(sorted(canon(i, (i + 1) % n) for i in range(n)))
-    inner = tuple(sorted(canon(n + i, n + (i + k) % n) for i in range(n)))
-    spokes = tuple(sorted((i, n + i) for i in range(n)))
-    return outer, inner, spokes
-
-
 def rim_jumps(n: int, a: int, step: int) -> LcfSpec:
     """Jump sequence f(i) = a + i*step mod n (unvalidated, see :func:`lcf`)."""
     return LcfSpec(n, tuple((a + i * step) % n for i in range(n)))
@@ -148,11 +135,3 @@ def h_graph() -> Graph:
     edges += [(9, 3), (9, 4), (9, 5)]  # apex to the middle layer
     return graph(10, edges)
 
-
-def moebius_ladder(n: int) -> Graph:
-    """The n-cycle plus all antipodal chords (n even, n >= 4)."""
-    if n < 4 or n % 2:
-        raise ValueError(f"need even n >= 4, got {n}")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [(i, i + n // 2) for i in range(n // 2)]
-    return graph(n, edges)

@@ -9,7 +9,7 @@ formulas in :mod:`gpcover.classify` are written in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import Graph
 from .families import GpParams
@@ -52,16 +52,6 @@ def power(p: Perm, m: int) -> Perm:
         base = compose(base, base)
         m >>= 1
     return result
-
-
-def order(p: Perm) -> int:
-    q = p
-    m = 1
-    ident = identity(len(p))
-    while q != ident:
-        q = compose(p, q)
-        m += 1
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -144,53 +134,6 @@ def from_triple(n: int, k: int, t: WordTriple) -> Perm:
     return tuple(image(x) for x in range(2 * n))
 
 
-def normalize_word(n: int, k: int, word: Iterable[str]) -> WordTriple:
-    """Rewrite a word in the generators to the unique alpha^a beta^b gamma^c.
-
-    Uses the commuting rules gamma alpha^m = alpha^{mk} gamma,
-    beta alpha^m = alpha^{-m} beta and gamma beta = beta gamma, plus
-    gamma^2 = 1 (k^2 = 1 mod n) or gamma^2 = beta (k^2 = -1 mod n).
-    """
-    ksq = (k * k) % n
-    a, b, c = 0, 0, 0
-
-    def push_alpha(m: int) -> None:
-        nonlocal a
-        step = (m * (k if c else 1)) % n
-        a = (a + (-step if b else step)) % n
-
-    def push_beta() -> None:
-        nonlocal b
-        b ^= 1
-
-    def push_gamma() -> None:
-        nonlocal b, c
-        if not _gamma_valid(n, k):
-            raise ValueError(f"gamma unavailable: k^2 must be +-1 (mod {n})")
-        c += 1
-        if c == 2:
-            c = 0
-            if ksq == (n - 1) % n and ksq != 1 % n:
-                b ^= 1  # gamma^2 = beta
-
-    for token in word:
-        if token == "alpha":
-            push_alpha(1)
-        elif token == "alpha^-1":
-            push_alpha(-1)
-        elif token in ("beta", "beta^-1"):
-            push_beta()
-        elif token == "gamma":
-            push_gamma()
-        elif token == "gamma^-1":
-            if ksq == (n - 1) % n and ksq != 1 % n:
-                push_beta()  # gamma^-1 = beta gamma
-            push_gamma()
-        else:
-            raise ValueError(f"unknown generator token {token!r}")
-    return WordTriple(a, b, c)
-
-
 def format_word(t: WordTriple | str, ascii_only: bool = False) -> str:
     """Render a word triple in the usual notation ("α⁶γ", ascii "a^6*g").
 
@@ -233,29 +176,6 @@ def is_automorphism(g: Graph, p: Sequence[int]) -> bool:
         if ((pu, pv) if pu < pv else (pv, pu)) not in edge_set:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class InvolutionProfile:
-    is_involution: bool
-    fixed_vertices: int
-    fixed_edges: int
-    color_reversing: bool
-
-
-def involution_profile(g: Graph, colors: Sequence[int], p: Perm) -> InvolutionProfile:
-    """The four facts deciding Kronecker-involution status for automorphism p.
-
-    fixed_edges counts edges {x,y} with p(x)=y and p(y)=x.
-    """
-    if not is_automorphism(g, p):
-        raise ValueError("p is not an automorphism of g")
-    n = g.vertex_count
-    is_inv = all(p[p[x]] == x for x in range(n))
-    fixed_v = sum(1 for x in range(n) if p[x] == x)
-    fixed_e = sum(1 for u, v in g.edges if p[u] == v and p[v] == u)
-    reversing = all(colors[p[x]] != colors[x] for x in range(n))
-    return InvolutionProfile(is_inv, fixed_v, fixed_e, reversing)
 
 
 def dihedral_group(n: int) -> list[Perm]:

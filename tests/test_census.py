@@ -127,6 +127,48 @@ class TestCensus:
             assert row.agree is passed[(row.n, row.k)], (row.n, row.k)
 
 
+class TestJobs:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Replace the process pool with one that records its max_workers
+        and maps serially; returns the recorded values."""
+        import importlib
+
+        census_mod = importlib.import_module("gpcover.census")
+        created = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, keys):
+                return map(fn, keys)
+
+        monkeypatch.setattr(census_mod, "ProcessPoolExecutor", FakePool)
+        return created
+
+    def test_at_most_one_worker_per_row(self, pools):
+        # n <= 4 has two (n,k) pairs, (3,1) and (4,1).
+        report = verify(4, jobs=5000)
+        assert pools == [2]
+        assert report == verify(4)
+
+    def test_one_row_runs_serially(self, pools):
+        rows = census(4, 4, with_oracle=True, jobs=5000)
+        assert pools == []
+        assert [(r.n, r.k) for r in rows] == [(4, 1)]
+
+    def test_jobs_below_row_count_is_kept(self, pools):
+        assert rows_to_csv(census(4, 10, jobs=3)) == rows_to_csv(census(4, 10))
+        assert pools == [3]
+
+
 class TestOracleBound:
     @pytest.mark.parametrize("sweep", [
         lambda mod: mod.verify(61),

@@ -14,7 +14,6 @@ from gpcover.classify import (
     necessary_conditions,
     q_value,
     quotient_lcf,
-    symmetry_class,
     two_adic,
 )
 from gpcover.oracle import is_isomorphic
@@ -212,21 +211,3 @@ class TestQuotientLcf:
         graphs = [lcf(quotient_lcf(p, t.a)) for t in involution_family(p)]
         assert all(is_isomorphic(graphs[0], g) for g in graphs[1:])
 
-
-class TestSymmetryClass:
-    def test_24_5(self):
-        s = symmetry_class(GpParams(24, 5))
-        assert (s.symmetric, s.vertex_transitive, s.cayley) == (True, True, True)
-
-    def test_10_2(self):
-        s = symmetry_class(GpParams(10, 2))
-        assert (s.symmetric, s.vertex_transitive, s.cayley) == (True, True, False)
-
-    def test_7_2(self):
-        s = symmetry_class(GpParams(7, 2))
-        assert (s.symmetric, s.vertex_transitive, s.cayley) == (False, False, False)
-
-    def test_13_5(self):
-        # k^2 = -1 (mod n): vertex-transitive, not Cayley, not symmetric.
-        s = symmetry_class(GpParams(13, 5))
-        assert (s.symmetric, s.vertex_transitive, s.cayley) == (False, True, False)

@@ -79,6 +79,14 @@ class TestQuotientCommand:
         assert code == 0
         assert is_isomorphic(decode_graph6(out.strip()), h_graph())
 
+    def test_delta_with_shift_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "quotient", "--n", "10", "--k", "3", "--delta", "--a", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--a" in err and "--delta" in err
+
     def test_10_3_default_is_petersen(self, capsys):
         code, out, _ = run(capsys, "quotient", "--n", "10", "--k", "3")
         assert code == 0
@@ -300,8 +308,9 @@ class TestExportCommand:
 )
 def test_unwritable_output_path_is_one_error_line(capsys, tmp_path, argv):
     path = tmp_path / "missing" / ("out.csv" if argv[0] == "census" else "out.dot")
-    code, _, err = run(capsys, *argv, str(path))
+    code, out, err = run(capsys, *argv, str(path))
     assert code == 1
+    assert out == ""
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 

@@ -1,17 +1,16 @@
+import networkx as nx
 import pytest
 
-from gpcover.graphs import connected_components, degrees, girth, graph
+from gpcover.graphs import degrees, girth, graph
 from gpcover.families import (
     GpParams,
     LcfSpec,
     c_minus,
     c_plus,
-    edge_classes,
     gp,
     h_graph,
     lcf,
     lcf_violations,
-    moebius_ladder,
 )
 from gpcover.covers import kronecker_cover
 from gpcover.oracle import is_isomorphic
@@ -58,33 +57,6 @@ class TestGp:
         assert is_isomorphic(gp(GpParams(10, 3)), kronecker_cover(h_graph()))
 
 
-class TestEdgeClasses:
-    def test_sizes_and_partition(self):
-        for nk in [(5, 2), (6, 2), (9, 4), (12, 5)]:
-            p = GpParams(*nk)
-            outer, inner, spokes = edge_classes(p)
-            assert len(outer) == len(inner) == len(spokes) == p.n
-            union = set(outer) | set(inner) | set(spokes)
-            assert len(union) == 3 * p.n
-            assert union == set(gp(p).edges)
-
-    def test_6_2_inner_is_two_triangles(self):
-        p = GpParams(6, 2)
-        _, inner, _ = edge_classes(p)
-        sub = graph(12, inner)
-        comps = [c for c in connected_components(sub) if len(c) > 1]
-        assert len(comps) == 2
-        assert all(len(c) == 3 for c in comps)
-
-    def test_5_2_inner_is_pentagram(self):
-        p = GpParams(5, 2)
-        _, inner, _ = edge_classes(p)
-        sub = graph(10, inner)
-        comps = [c for c in connected_components(sub) if len(c) > 1]
-        assert len(comps) == 1
-        assert len(comps[0]) == 5
-
-
 class TestLcf:
     def test_k4_from_constant_two(self):
         g = lcf(LcfSpec(4, (2, 2, 2, 2)))
@@ -126,6 +98,11 @@ class TestLcf:
 
 def gp_k4():
     return graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)])
+
+
+def moebius_ladder(n):
+    """The n-cycle plus its n/2 antipodal chords, built by networkx."""
+    return graph(n, nx.circulant_graph(n, [1, n // 2]).edges)
 
 
 class TestCPlusMinus:

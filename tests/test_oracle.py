@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import sys
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -487,6 +488,35 @@ def latin_square_graph(n, seed):
     ])
 
 
+def cfi_graph(base, twisted):
+    """The Cai-Fuerer-Immerman graph of a connected networkx graph: per base
+    vertex v, one vertex for each even-sized set S of the edges at v and a
+    pair (v, e, 0), (v, e, 1) for each edge e at v, with S joined to
+    (v, e, 1) for e in S and to (v, e, 0) otherwise.  Each base edge uv
+    joins (u, e, i) to (v, e, i), crossed to (v, e, 1 - i) on the first
+    edge when twisted.  The two versions are not isomorphic, yet colour
+    refinement cannot tell them apart (Cai, Fuerer & Immerman 1992)."""
+    base = nx.convert_node_labels_to_integers(base)
+    base_edges = sorted(tuple(sorted(e)) for e in base.edges)
+    index = {}
+
+    def vid(key):
+        return index.setdefault(key, len(index))
+
+    edges = []
+    for v in base.nodes:
+        at_v = [e for e in base_edges if v in e]
+        for size in range(0, len(at_v) + 1, 2):
+            for subset in combinations(at_v, size):
+                m = vid(("m", v, subset))
+                edges += [(m, vid(("a", v, e, int(e in subset)))) for e in at_v]
+    for t, (u, v) in enumerate(base_edges):
+        for i in (0, 1):
+            j = 1 - i if twisted and t == 0 else i
+            edges.append((vid(("a", u, (u, v), i)), vid(("a", v, (u, v), j))))
+    return graph(len(index), edges)
+
+
 def least_certificate_edges(g):
     """The second route for the pruned search: the edges of the least leaf
     certificate (shapes along the path, relabeled sorted edges) over the
@@ -549,6 +579,24 @@ class TestCanonicalFormSoundness:
                 nxh.add_edges_from(h.edges)
                 same = canonical_form(g) == canonical_form(h)
                 assert same == nx.is_isomorphic(nxg, nxh), (g, h)
+
+    @pytest.mark.parametrize("base", [
+        nx.complete_graph(4), nx.complete_bipartite_graph(3, 3),
+        nx.circular_ladder_graph(3), nx.hypercube_graph(3), nx.petersen_graph(),
+    ], ids=["K4", "K33", "prism", "cube", "petersen"])
+    def test_cfi_pairs_get_different_forms(self, base):
+        plain, twisted = cfi_graph(base, False), cfi_graph(base, True)
+        # Both are cubic, so refinement of the unit partition splits nothing.
+        for g in (plain, twisted):
+            assert len(_refine_cells(adjacency(g), [tuple(range(g.vertex_count))])) == 1
+        assert canonical_form(plain) != canonical_form(twisted)
+        rng = random.Random(plain.vertex_count)
+        for g in (plain, twisted):
+            form = canonical_form(g)
+            for _ in range(3):
+                perm = list(range(g.vertex_count))
+                rng.shuffle(perm)
+                assert canonical_form(relabeled(g, perm)) == form
 
     def test_refine_calls_stay_under_the_root_pruned_search(self, monkeypatch):
         # A search that prunes by automorphisms at the root only takes 10

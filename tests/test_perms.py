@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from gpcover.graphs import bipartition
 from gpcover.families import GpParams, gp, h_graph
@@ -14,10 +13,7 @@ from gpcover.perms import (
     from_triple,
     identity,
     inverse,
-    involution_profile,
     is_automorphism,
-    normalize_word,
-    order,
     power,
     reflection,
     rim_swap,
@@ -33,7 +29,7 @@ class TestGroupOps:
 
     def test_rotation_order(self):
         assert power(rotation(9), 9) == identity(18)
-        assert order(rotation(9)) == 9
+        assert all(power(rotation(9), m) != identity(18) for m in range(1, 9))
 
     def test_composition_is_right_to_left(self):
         # alpha gamma on GP(12,5) sends u_1 to v_{5*1+1} = v_6 (index 18)
@@ -61,7 +57,7 @@ class TestGenerators:
     def test_rim_swap_square_reflection_when_ksq_minus1(self):
         g = rim_swap(10, 3)
         assert compose(g, g) == reflection(10)
-        assert order(g) == 4
+        assert power(g, 4) == identity(20)
 
     def test_rim_swap_rejected_otherwise(self):
         with pytest.raises(ValueError, match=r"\+-1"):
@@ -74,6 +70,18 @@ class TestGenerators:
             assert is_automorphism(g, reflection(n))
             if (k * k) % n in (1, n - 1):
                 assert is_automorphism(g, rim_swap(n, k))
+
+    def test_color_reversing_parity(self):
+        # rotation and rim swap reverse colors; reflection preserves them.
+        n, k = 12, 5
+        g = gp(GpParams(n, k))
+        colors = bipartition(g)
+        rot = rotation(n)
+        assert all(colors[rot[x]] != colors[x] for x in range(2 * n))
+        swap = rim_swap(n, k)
+        assert all(colors[swap[x]] != colors[x] for x in range(2 * n))
+        refl = reflection(n)
+        assert all(colors[refl[x]] == colors[x] for x in range(2 * n))
 
     def test_invalid_rim_swap_is_not_automorphism(self):
         n, k = 7, 2
@@ -133,40 +141,9 @@ class TestWordTriples:
         assert from_triple(n, k, WordTriple(3, 1, 0)) == compose(power(a, 3), b)
         assert from_triple(n, k, WordTriple(0, 1, 1)) == compose(b, g)
 
-    def test_normalize_examples(self):
-        assert normalize_word(12, 5, ["gamma", "alpha"]) == WordTriple(5, 0, 1)
-        assert normalize_word(12, 5, ["beta"] + ["alpha"] * 3) == WordTriple(9, 1, 0)
-        assert normalize_word(12, 5, ["gamma", "beta"]) == WordTriple(0, 1, 1)
-
     def test_gamma_requires_valid_k(self):
         with pytest.raises(ValueError, match="gamma"):
-            normalize_word(7, 2, ["gamma"])
-        with pytest.raises(ValueError, match="gamma"):
             from_triple(7, 2, WordTriple(0, 0, 1))
-
-    def test_bad_token(self):
-        with pytest.raises(ValueError, match="token"):
-            normalize_word(7, 2, ["sigma"])
-
-    @given(st.sampled_from([(12, 5), (8, 3), (10, 3), (5, 2), (24, 5), (13, 5)]),
-           st.lists(st.sampled_from(
-               ["alpha", "alpha^-1", "beta", "beta^-1", "gamma", "gamma^-1"]),
-               max_size=12))
-    def test_normalize_is_sound(self, nk, word):
-        n, k = nk
-        gens = {
-            "alpha": rotation(n),
-            "beta": reflection(n),
-            "gamma": rim_swap(n, k),
-        }
-        gens["alpha^-1"] = inverse(gens["alpha"])
-        gens["beta^-1"] = inverse(gens["beta"])
-        gens["gamma^-1"] = inverse(gens["gamma"])
-        value = identity(2 * n)
-        for token in word:
-            value = compose(value, gens[token])
-        triple = normalize_word(n, k, word)
-        assert from_triple(n, k, triple) == value
 
     def test_triple_uniqueness(self):
         # Distinct triples give distinct permutations (the word group has
@@ -193,53 +170,3 @@ class TestWordTriples:
         assert format_word(WordTriple(0, 0, 0)) == "1"
         assert format_word("delta") == "Δ"
         assert format_word("delta", ascii_only=True) == "D"
-
-
-class TestInvolutionProfile:
-    def test_half_turn_on_14_3(self):
-        g = gp(GpParams(14, 3))
-        prof = involution_profile(g, bipartition(g), power(rotation(14), 7))
-        assert prof.is_involution
-        assert prof.fixed_vertices == 0
-        assert prof.fixed_edges == 0
-        assert prof.color_reversing
-
-    def test_rim_switch_on_12_5(self):
-        g = gp(GpParams(12, 5))
-        p = from_triple(12, 5, WordTriple(6, 0, 1))
-        prof = involution_profile(g, bipartition(g), p)
-        assert prof.is_involution
-        assert prof.fixed_vertices == 0
-        assert prof.fixed_edges == 0
-        assert prof.color_reversing
-
-    def test_reflected_rotation_fixes_an_edge(self):
-        # A color-reversing involution of the form alpha^a beta always
-        # pins the outer edge between (a-1)/2 and (a+1)/2.
-        for n, k in [(6, 1), (10, 3), (14, 5)]:
-            g = gp(GpParams(n, k))
-            colors = bipartition(g)
-            for a in range(1, n, 2):
-                p = from_triple(n, k, WordTriple(a, 1, 0))
-                prof = involution_profile(g, colors, p)
-                assert prof.is_involution
-                if prof.color_reversing:
-                    assert prof.fixed_edges >= 1
-
-    def test_rejects_non_automorphism(self):
-        g = gp(GpParams(6, 1))
-        shuffled = tuple([1, 0] + list(range(2, 12)))
-        with pytest.raises(ValueError, match="automorphism"):
-            involution_profile(g, bipartition(g), shuffled)
-
-    def test_color_reversing_parity(self):
-        # rotation and rim swap reverse colors; reflection preserves them.
-        n, k = 12, 5
-        g = gp(GpParams(n, k))
-        colors = bipartition(g)
-        rot = rotation(n)
-        assert all(colors[rot[x]] != colors[x] for x in range(2 * n))
-        swap = rim_swap(n, k)
-        assert all(colors[swap[x]] != colors[x] for x in range(2 * n))
-        refl = reflection(n)
-        assert all(colors[refl[x]] == colors[x] for x in range(2 * n))
