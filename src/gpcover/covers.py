@@ -6,9 +6,10 @@ becomes the pair {u, v+n0}, {u+n0, v}.
 """
 from __future__ import annotations
 
+from operator import eq
 from typing import Optional, Sequence
 
-from .graphs import Graph, graph, bipartition, is_connected
+from .graphs import Graph, _search, graph
 from .perms import Perm, is_automorphism, is_permutation
 
 
@@ -19,11 +20,7 @@ class NotKroneckerInvolution(ValueError):
 def kronecker_cover(g: Graph) -> Graph:
     """The tensor product with a single edge; always bipartite, doubles |V| and |E|."""
     n0 = g.vertex_count
-    edges = []
-    for u, v in g.edges:
-        edges.append((u, v + n0))
-        edges.append((u + n0, v))
-    return graph(2 * n0, edges)
+    return graph(2 * n0, [(u, v + n0) for u, v in g.edges] + [(u + n0, v) for u, v in g.edges])
 
 
 def natural_swap(base_vertex_count: int) -> Perm:
@@ -42,18 +39,18 @@ def kronecker_involution_failure(g: Graph, p: Sequence[int]) -> Optional[str]:
     """
     if len(p) != g.vertex_count or not is_permutation(p):
         return "not a vertex permutation of g"
-    if not is_connected(g):
+    components, colors = _search(g)
+    if len(components) > 1:
         return "graph is not connected"
-    colors = bipartition(g)
     if colors is None:
         return "graph is not bipartite"
     if not is_automorphism(g, p):
         return "not an automorphism"
     if any(p[p[x]] != x for x in range(g.vertex_count)):
         return "not an involution"
-    if any(p[x] == x for x in range(g.vertex_count)):
+    if any(map(eq, p, range(g.vertex_count))):
         return "has a fixed vertex"
-    if any(colors[p[x]] == colors[x] for x in range(g.vertex_count)):
+    if any(map(eq, map(colors.__getitem__, p), colors)):
         return "not color-reversing"
     if any(p[u] == v for u, v in g.edges):
         return "maps a vertex to a neighbor (fixed edge)"
@@ -73,7 +70,7 @@ def quotient(g: Graph, p: Perm) -> Graph:
     failure = kronecker_involution_failure(g, p)
     if failure is not None:
         raise NotKroneckerInvolution(f"not a Kronecker involution: {failure}")
-    reps = sorted(x for x in range(g.vertex_count) if x < p[x])
+    reps = [x for x in range(g.vertex_count) if x < p[x]]
     rank = {x: i for i, x in enumerate(reps)}
-    orbit = [rank[min(x, p[x])] for x in range(g.vertex_count)]
-    return graph(len(reps), ((orbit[u], orbit[v]) for u, v in g.edges))
+    orbit = [rank[x if x < y else y] for x, y in enumerate(p)]
+    return graph(len(reps), [(orbit[u], orbit[v]) for u, v in g.edges])

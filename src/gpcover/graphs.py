@@ -1,17 +1,19 @@
 """Simple undirected graphs as immutable values.
 
-Vertices are dense integers 0..vertex_count-1.  The edge set is stored
-canonically (each pair ordered low-high, pairs sorted), so two Graph values
-compare equal exactly when they are the same labelled graph.  All operations
-here are pure; Graph values can be shared freely.
+Vertices are dense integers 0..vertex_count-1.  :func:`graph` builds every
+Graph from integer endpoints and stores the edges canonically (each pair
+ordered low-high, sorted by the key lo * n + hi), so two Graph values compare
+equal exactly when they are the same labelled graph.  Components and the
+2-coloring come from one search.  All operations are pure; share Graphs freely.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
 from functools import lru_cache
-from itertools import compress
+from itertools import repeat
 from math import isqrt
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 Edge = tuple[int, int]
@@ -37,17 +39,31 @@ def graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
     A loop always signals a broken construction upstream (e.g. a quotient by
     something that is not a covering involution), so it is a hard error,
     while duplicate edges can legitimately arise when two edges collapse
-    onto one and are silently merged.
+    onto one and are silently merged.  Endpoints must be integers.  Edges
+    are sorted as the integer keys ``lo * n + hi``; only when one is bad are
+    they walked again, in input order, to name the first bad one.
     """
-    canon: set[Edge] = set()
-    for e in edges:
-        u, v = e
-        if u == v:
-            raise ValueError(f"loop edge at vertex {u}")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
-        canon.add((u, v) if u < v else (v, u))
-    return Graph(vertex_count, tuple(sorted(canon)))
+    n = vertex_count
+    edges = edges if isinstance(edges, (list, tuple)) else list(edges)  # may be walked twice
+    try:
+        keys = {u * n + v if -1 < u < v < n else v * n + u if -1 < v < u < n else -1
+                for u, v in edges}
+    except (TypeError, ValueError):  # malformed edges: the walk re-raises
+        keys = {-1}
+    # A non-int endpoint (1.5, 2.0) makes its key, and so the sum, non-int.
+    if -1 in keys or type(sum(keys)) is not int:
+        keys = set()
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"loop edge at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
+            try:
+                lo, hi = sorted(map(index, (u, v)))
+            except TypeError:
+                raise ValueError(f"edge ({u},{v}) has a non-integer endpoint") from None
+            keys.add(lo * n + hi)
+    return Graph(n, tuple(map(divmod, sorted(keys), repeat(n))))
 
 
 @lru_cache(maxsize=2048)
@@ -80,28 +96,11 @@ def degrees(g: Graph) -> tuple[int, ...]:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Maximal connected vertex sets, each sorted, ordered by least vertex."""
-    adj = adjacency(g)
-    seen = [False] * g.vertex_count
-    comps: list[list[int]] = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+    return list(map(list, _search(g)[0]))
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return len(_search(g)[0]) <= 1
 
 
 def bipartition(g: Graph) -> Optional[list[int]]:
@@ -109,22 +108,36 @@ def bipartition(g: Graph) -> Optional[list[int]]:
 
     Within each connected component the least-index vertex gets color 0.
     """
+    colors = _search(g)[1]
+    return None if colors is None else list(colors)
+
+
+@lru_cache(maxsize=8)
+def _search(g: Graph) -> tuple[tuple[tuple[int, ...], ...], Optional[tuple[int, ...]]]:
+    """Components and 2-coloring (None if an edge joins two vertices of one
+    color) from one breadth-first search, shared by the three functions
+    above, so that the covering-involution checks search each graph once."""
     adj = adjacency(g)
     color = [-1] * g.vertex_count
+    comps = []
+    odd = False
     for start in range(g.vertex_count):
-        if color[start] != -1:
+        if color[start] >= 0:
             continue
         color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
+        comp = [start]
+        for u in comp:  # comp grows as the queue of the search
+            c = color[u]
             for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    return color
+                cw = color[w]
+                if cw < 0:
+                    color[w] = 1 - c
+                    comp.append(w)
+                elif cw == c:
+                    odd = True
+        comp.sort()
+        comps.append(tuple(comp))
+    return tuple(comps), None if odd else tuple(color)
 
 
 def girth(g: Graph) -> Optional[int]:
@@ -167,6 +180,8 @@ _MINUS_63 = bytes(range(193, 256)) + bytes(range(193))
 # _SET_BITS[c]: offsets j in 0..5 of the set bits of a 6-bit value c, where
 # offset j is the bit 32 >> j (graph6 packs the first position highest).
 _SET_BITS = tuple(tuple(j for j in range(6) if c & (32 >> j)) for c in range(64))
+# _NONZERO: 0 for a zero byte, else 1, so ``find(1)`` skips zero bytes in C.
+_NONZERO = bytes(1) + bytes([1]) * 255
 
 
 def encode_graph6(g: Graph) -> str:
@@ -174,6 +189,7 @@ def encode_graph6(g: Graph) -> str:
     x(0,1) x(0,2) x(1,2) x(0,3) ... packed 6 per character, offset by 63.
 
     Python sets one bit per edge; the offset is a single ``bytes.translate``.
+    Raises ValueError naming the first edge that is not 0 <= u < v < n.
     """
     n = g.vertex_count
     if n > _G6_MAX:
@@ -185,7 +201,9 @@ def encode_graph6(g: Graph) -> str:
     nbits = n * (n - 1) // 2
     bits = bytearray((nbits + 5) // 6)
     for u, v in g.edges:
-        pos = v * (v - 1) // 2 + u  # u < v by canonical storage
+        if not 0 <= u < v < n:  # a Graph built by hand, not by graph()
+            raise ValueError(f"edge ({u},{v}) is not 0 <= u < v < {n}")
+        pos = v * (v - 1) // 2 + u
         bits[pos // 6] |= 32 >> (pos % 6)
     return header + bits.translate(_PLUS_63).decode("ascii")
 
@@ -198,8 +216,9 @@ def decode_graph6(s: str | bytes) -> Graph:
     or byte outside '?'..'~' (the first one is named); a malformed long size
     header; a bit field that is truncated or followed by trailing garbage;
     and non-zero padding bits after the last upper-triangle position.  The
-    range check and the offset run in C, and Python visits only the non-zero
-    bytes of the bit field, so the cost follows the edges, not n².
+    range check, the offset and the search for non-zero bytes run in C, and
+    Python visits only the non-zero bytes of the bit field, so the cost
+    follows the edges, not n².
     """
     from_bytes = isinstance(s, bytes)
     if from_bytes:
@@ -233,11 +252,14 @@ def decode_graph6(s: str | bytes) -> Graph:
     if body and body[-1] & ((1 << (6 * need - nbits)) - 1):
         raise GraphFormatError("non-zero padding bits after graph6 bit field")
     edges = []
-    for i in compress(range(need), body):
+    nonzero = body.translate(_NONZERO)
+    i = nonzero.find(1)
+    while i >= 0:
         for j in _SET_BITS[body[i]]:
             pos = 6 * i + j
             v = (1 + isqrt(8 * pos + 1)) // 2
             edges.append((pos - v * (v - 1) // 2, v))
+        i = nonzero.find(1, i + 1)
     return graph(n, edges)
 
 

@@ -122,16 +122,12 @@ def from_triple(n: int, k: int, t: WordTriple) -> Perm:
     if t.c and not _gamma_valid(n, k):
         raise ValueError(f"gamma unavailable: k^2 must be +-1 (mod {n})")
 
-    def image(x: int) -> int:
-        rim, i = divmod(x, n)
-        if t.c:
-            rim, i = 1 - rim, (k * i) % n
-        if t.b:
-            i = -i % n
-        i = (i + t.a) % n
-        return i if rim == 0 else n + i
-
-    return tuple(image(x) for x in range(2 * n))
+    # gamma^c, then beta^b, then alpha^a send index i to step * i + a, with
+    # step = +-k^c; gamma also swaps the rims.
+    step = (k if t.c else 1) * (-1 if t.b else 1)
+    ring = [(step * i + t.a) % n for i in range(n)]
+    other = [n + i for i in ring]
+    return tuple(other + ring if t.c else ring + other)
 
 
 def format_word(t: WordTriple | str, ascii_only: bool = False) -> str:

@@ -1,5 +1,7 @@
 import random
+import re
 from collections import deque
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -16,6 +18,7 @@ from gpcover.graphs import (
     encode_graph6,
     girth,
     graph,
+    is_connected,
     to_dot,
 )
 from gpcover.classify import classify
@@ -74,6 +77,84 @@ class TestAdjacency:
         assert adjacency(g) == self.reference(g)
 
 
+def reference_graph(vertex_count, edges):
+    """graph() as it was before integer edge keys: a set of ordered pairs,
+    each edge checked in input order.  The new graph() must give the same
+    Graph, or raise the same exception with the same message."""
+    canon = set()
+    for e in edges:
+        u, v = e
+        if u == v:
+            raise ValueError(f"loop edge at vertex {u}")
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise ValueError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
+        canon.add((u, v) if u < v else (v, u))
+    return Graph(vertex_count, tuple(sorted(canon)))
+
+
+def build_outcome(build, n, edges, kind):
+    """build(n, edges) with the edges passed as a list, a tuple or a
+    generator, as the Graph it returns or the (type, message) it raises."""
+    arg = {"list": list, "tuple": tuple, "generator": lambda es: (e for e in es)}[kind](edges)
+    try:
+        return build(n, arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def messy_edges(rng, n, m, bad):
+    """m edges on n >= 2 vertices in random orientation, with duplicates in
+    both orientations and, when bad, now and then a loop, an out-of-range
+    endpoint or a non-pair."""
+    edges = []
+    for _ in range(m):
+        roll = rng.random() if bad else 1.0
+        if roll < 0.01:
+            edges.append((rng.randrange(-1, n + 1),) * 2)
+        elif roll < 0.02:
+            edges.append((rng.randrange(n), rng.choice([-1, n, n + 5])))
+        elif roll < 0.025:
+            edges.append((0, 1, 2))
+        elif roll < 0.2 and edges:
+            u, v = rng.choice(edges)[:2]
+            edges.append([v, u] if rng.random() < 0.5 else (u, v))
+        else:
+            edges.append(tuple(rng.sample(range(n), 2)))
+    return edges
+
+
+class TestGraphMatchesReference:
+    @given(
+        st.integers(-1, 9).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)), max_size=25),
+        )),
+        st.sampled_from(["list", "tuple", "generator"]),
+    )
+    @example((3, [(2, 1), (1, 2), (0, 3), (1, 1)]), "generator")
+    @example((3, [(1, 1), (0, 3)]), "list")
+    @example((0, []), "tuple")
+    def test_small_inputs(self, case, kind):
+        n, edges = case
+        assert build_outcome(graph, n, edges, kind) == build_outcome(reference_graph, n, edges, kind)
+
+    def test_seeded_inputs_at_workload_sizes(self):
+        # Every other case holds a bad edge somewhere; the rest are valid.
+        rng = random.Random(41)
+        for trial in range(60):
+            n = rng.choice([2, 5, 60, 200, 1200])
+            edges = messy_edges(rng, n, rng.randrange(3 * n), bad=trial % 2 == 1)
+            kind = ("list", "tuple", "generator")[trial % 3]
+            new = build_outcome(graph, n, edges, kind)
+            assert new == build_outcome(reference_graph, n, edges, kind), (n, kind)
+            if isinstance(new, Graph):
+                assert all(type(u) is int and type(v) is int for u, v in new.edges)
+
+    def test_canonical_inputs_unchanged(self):
+        for g in (k4(), gp(GpParams(60, 17)), canonical_quotient(420, 29)[1]):
+            assert graph(g.vertex_count, g.edges) == reference_graph(g.vertex_count, g.edges) == g
+
+
 class TestConstruction:
     def test_k4(self):
         g = k4()
@@ -92,6 +173,27 @@ class TestConstruction:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="range"):
             graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("edges, named", [
+        ([(0, 1.5)], "(0,1.5)"),
+        ([(0, 1), (2.0, 1)], "(2.0,1)"),
+        ([(Fraction(1), 2)], "(1,2)"),
+        ([(0, 1.5), (1, 1)], "(0,1.5)"),
+    ])
+    def test_non_integer_endpoint_rejected(self, edges, named):
+        with pytest.raises(ValueError, match=re.escape(f"edge {named} has a non-integer endpoint")):
+            graph(3, edges)
+
+    def test_loop_before_non_integer_named_first(self):
+        with pytest.raises(ValueError, match="loop edge at vertex 1"):
+            graph(3, [(1, 1), (0, 1.5)])
+
+    def test_integer_like_endpoints_become_ints(self):
+        np = pytest.importorskip("numpy")
+        for edges in ([(True, 2)], [(np.int64(1), np.int64(2))], [(np.int32(2), 1)]):
+            g = graph(3, edges)
+            assert g == graph(3, [(1, 2)])
+            assert all(type(x) is int for x in g.edges[0])
 
     def test_duplicates_dropped_silently(self):
         g = graph(3, [(0, 1), (1, 0), (0, 1)])
@@ -155,6 +257,47 @@ class TestComponents:
     def test_ordering_by_least_vertex(self):
         comps = connected_components(graph(6, [(4, 5), (0, 3)]))
         assert comps == [[0, 3], [1], [2], [4, 5]]
+
+
+class TestSearchMatchesNetworkx:
+    """connected_components, is_connected and bipartition share one search;
+    networkx is the second route for all three."""
+
+    def test_random_graphs(self):
+        rng = random.Random(31)
+        for trial in range(120):
+            n = rng.randint(1, 60)
+            p = rng.random() * (3 if trial % 2 else 1.2) / n
+            g = graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+            nxg = nx.empty_graph(n)
+            nxg.add_edges_from(g.edges)
+            comps = connected_components(g)
+            assert comps == sorted(sorted(c) for c in nx.connected_components(nxg))
+            assert is_connected(g) == nx.is_connected(nxg)
+            colors = bipartition(g)
+            assert (colors is not None) == nx.is_bipartite(nxg)
+            if colors is not None:
+                assert all(colors[u] != colors[v] for u, v in g.edges)
+                assert all(colors[c[0]] == 0 for c in comps)
+
+    def test_workload_graphs(self):
+        for n, k in [(402, 37), (420, 29)]:
+            c, q = canonical_quotient(n, k)
+            for g in (gp(GpParams(n, k)), q, kronecker_cover(q)):
+                nxg = nx.empty_graph(g.vertex_count)
+                nxg.add_edges_from(g.edges)
+                assert is_connected(g) == nx.is_connected(nxg)
+                assert len(connected_components(g)) == nx.number_connected_components(nxg)
+                assert (bipartition(g) is not None) == nx.is_bipartite(nxg)
+
+    def test_results_are_fresh_lists(self):
+        # The search is cached; callers may still change what they get.
+        g = graph(4, [(0, 1), (2, 3)])
+        bipartition(g)[0] = 7
+        connected_components(g)[0].append(9)
+        assert bipartition(g) == [0, 1, 0, 1]
+        assert connected_components(g) == [[0, 1], [2, 3]]
+        assert not is_connected(g)
 
 
 def girth_by_edge_removal(g: Graph):
@@ -306,6 +449,17 @@ class TestGraph6:
     @pytest.mark.parametrize("text", ["Bw", "A_", "D~{"])
     def test_full_last_character_accepted(self, text):
         assert encode_graph6(decode_graph6(text)) == text
+
+    @pytest.mark.parametrize("edges, named", [
+        (((1, 0),), "(1,0)"),
+        (((0, 5),), "(0,5)"),
+        (((1, 1),), "(1,1)"),
+        (((-1, 2),), "(-1,2)"),
+        (((0, 1), (2, 0), (0, 9)), "(2,0)"),
+    ])
+    def test_encode_names_the_first_bad_edge_of_a_hand_built_graph(self, edges, named):
+        with pytest.raises(ValueError, match=re.escape(f"edge {named} is not 0 <= u < v < 3")):
+            encode_graph6(Graph(3, edges))
 
     def test_malformed_long_header_rejected(self):
         with pytest.raises(GraphFormatError):

@@ -517,12 +517,10 @@ def cfi_graph(base, twisted):
     return graph(len(index), edges)
 
 
-def least_certificate_edges(g):
-    """The second route for the pruned search: the edges of the least leaf
-    certificate (shapes along the path, relabeled sorted edges) over the
-    whole individualization-refinement tree, with nothing pruned."""
+def leaf_certificates(g):
+    """Every leaf certificate (shapes along the path, relabeled sorted edges)
+    of the whole individualization-refinement tree, with nothing pruned."""
     adj = adjacency(g)
-    best = None
     stack = [[_refine_cells(adj, [tuple(range(g.vertex_count))])]]
     while stack:
         path = stack.pop()
@@ -531,15 +529,30 @@ def least_certificate_edges(g):
         if not open_cells or oracle._homogeneous(adj, cells):
             label = {v: p for p, v in enumerate(v for cell in cells for v in cell)}
             edges = tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in g.edges))
-            certificate = (tuple(tuple(map(len, c)) for c in path), edges)
-            best = certificate if best is None else min(best, certificate)
+            yield tuple(tuple(map(len, c)) for c in path), edges
             continue
         t = min(open_cells, key=lambda i: len(cells[i]))
         start = sum(len(cell) for cell in cells[:t])
         for v in cells[t]:
             child = cells[:t] + [(v,), tuple(x for x in cells[t] if x != v)] + cells[t + 1:]
             stack.append(path + [_refine_cells(adj, child, start)])
-    return best[1]
+
+
+def least_certificate_edges(g):
+    """The second route for the pruned search: the edges of the least leaf
+    certificate over the whole tree."""
+    return min(leaf_certificates(g))[1]
+
+
+def orbit_ids(n, perms):
+    """For each vertex, the least vertex of its orbit under perms."""
+    uf = list(range(n))
+    for p in perms:
+        for x, y in enumerate(p):
+            rx, ry = oracle._find(uf, x), oracle._find(uf, y)
+            if rx != ry:
+                uf[max(rx, ry)] = min(rx, ry)
+    return [oracle._find(uf, x) for x in range(n)]
 
 
 class TestCanonicalFormSoundness:
@@ -597,6 +610,59 @@ class TestCanonicalFormSoundness:
                 perm = list(range(g.vertex_count))
                 rng.shuffle(perm)
                 assert canonical_form(relabeled(g, perm)) == form
+
+    @pytest.mark.parametrize("case", ["latin5", "latin6", "small-symmetric"])
+    def test_leaves_with_equal_edges_have_equal_shapes(self, case):
+        # Why a backjump may test the whole certificate or its edges alone:
+        # equal relabeled edges give an automorphism, the individualized
+        # vertices keep their positions, so the two paths are images of each
+        # other and pass through the same shapes.
+        if case == "small-symmetric":
+            pool = [g for g in soundness_pool()
+                    if g.vertex_count <= 16 and len(connected_components(g)) == 1]
+        else:
+            n = int(case[-1])
+            pool = [latin_square_graph(n, seed) for seed in range(2)]
+        for g in pool:
+            shapes_of = {}
+            for shapes, edges in leaf_certificates(g):
+                assert shapes_of.setdefault(edges, shapes) == shapes, g
+
+    def test_first_path_orbits_lie_in_path_stabilizer_orbits(self, monkeypatch):
+        # Orbit pruning at a first-path node is sound only for automorphisms
+        # that fix the path above it; check every orbit the search built
+        # against the orbits of that pointwise stabilizer in the whole group.
+        created = []
+
+        class Recorded(oracle._Node):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                created.append(self)
+
+        monkeypatch.setattr(oracle, "_Node", Recorded)
+        rng = random.Random(53)
+        pool = [g for g in soundness_pool()
+                if g.vertex_count <= 20 and len(connected_components(g)) == 1]
+        pool += [gp(GpParams(10, 3)), gp(GpParams(12, 5)), cfi_graph(nx.complete_graph(4), False)]
+        joined = 0
+        for g in pool:
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            g = relabeled(g, perm)
+            created.clear()
+            oracle._canonical_edges(g)
+            group = automorphisms(g)
+            prefix = []
+            for node in [node for node in created if node.orbits is not None]:
+                fixing = [a for a in group if all(a[v] == v for v in prefix)]
+                allowed = orbit_ids(g.vertex_count, fixing)
+                built = [oracle._find(node.orbits, x) for x in range(g.vertex_count)]
+                assert all(allowed[x] == allowed[r] for x, r in enumerate(built)), (g, prefix)
+                joined += sum(r != x for x, r in enumerate(built))
+                prefix.append(node.done[0])
+        assert joined > 0
 
     def test_refine_calls_stay_under_the_root_pruned_search(self, monkeypatch):
         # A search that prunes by automorphisms at the root only takes 10
