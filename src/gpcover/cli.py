@@ -190,7 +190,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.family != "h" and (args.n is None or args.k is None):
+    if args.family == "h":
+        if args.n is not None or args.k is not None:
+            raise ValueError("--family h takes no --n or --k")
+    elif args.n is None or args.k is None:
         raise ValueError(f"--family {args.family} requires --n and --k")
     g = QuotientDesc(args.family, args.n, args.k).materialize()
     if args.dot:

@@ -5,18 +5,24 @@ Graph from integer endpoints and stores the edges canonically (each pair
 ordered low-high, sorted by the key lo * n + hi), so two Graph values compare
 equal exactly when they are the same labelled graph.  Components and the
 2-coloring come from one search.  All operations are pure; share Graphs freely.
+
+A Graph's derived data (its hash, adjacency lists and bitsets, and the
+component/2-coloring search) is computed on first use and kept on that
+instance, so it is freed together with the graph: no module-level cache holds
+a graph alive.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from functools import lru_cache
+from functools import wraps
 from itertools import repeat
 from math import isqrt
 from operator import index
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 Edge = tuple[int, int]
+T = TypeVar("T")
 
 
 class GraphFormatError(ValueError):
@@ -31,6 +37,38 @@ class Graph:
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
+
+    def __hash__(self) -> int:
+        return _hash(self)
+
+    def __reduce__(self):
+        # Pickle and copy the fields only: the derived data is rebuilt on
+        # demand, and a kept hash need not hold in another interpreter.
+        return Graph, (self.vertex_count, self.edges)
+
+
+def _once_per_graph(compute: Callable[[Graph], T]) -> Callable[[Graph], T]:
+    """Run compute(g) once per Graph instance and keep its value in that
+    instance's ``__dict__`` (which a frozen dataclass leaves writable), so
+    the value lives exactly as long as the graph."""
+    name = compute.__name__
+
+    @wraps(compute)
+    def get(g: Graph) -> T:
+        try:
+            return g.__dict__[name]
+        except KeyError:
+            value = g.__dict__[name] = compute(g)
+            return value
+
+    return get
+
+
+@_once_per_graph
+def _hash(g: Graph) -> int:
+    """The dataclass hash of the fields, computed once instead of over the
+    whole edge tuple at every lookup of a memo keyed by the graph."""
+    return hash((g.vertex_count, g.edges))
 
 
 def graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -66,9 +104,10 @@ def graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(n, tuple(map(divmod, sorted(keys), repeat(n))))
 
 
-@lru_cache(maxsize=2048)
+@_once_per_graph
 def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbor lists, indexed by vertex.
+    """Sorted neighbor lists, indexed by vertex, built once per Graph and
+    kept on it.
 
     The edges are sorted pairs (u, v) with u < v, so each list fills in
     ascending order: first the smaller neighbours, then the larger ones.
@@ -80,9 +119,10 @@ def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, adj))
 
 
-@lru_cache(maxsize=2048)
+@_once_per_graph
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    """Neighborhoods as integer bitsets (bit v set iff v is a neighbor)."""
+    """Neighborhoods as integer bitsets (bit v set iff v is a neighbor),
+    built once per Graph and kept on it."""
     masks = [0] * g.vertex_count
     for u, v in g.edges:
         masks[u] |= 1 << v
@@ -112,7 +152,7 @@ def bipartition(g: Graph) -> Optional[list[int]]:
     return None if colors is None else list(colors)
 
 
-@lru_cache(maxsize=8)
+@_once_per_graph
 def _search(g: Graph) -> tuple[tuple[tuple[int, ...], ...], Optional[tuple[int, ...]]]:
     """Components and 2-coloring (None if an edge joins two vertices of one
     color) from one breadth-first search, shared by the three functions

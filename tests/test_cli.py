@@ -296,6 +296,16 @@ class TestExportCommand:
         assert code == 1
         assert "requires" in err
 
+    @pytest.mark.parametrize(
+        "params", [["--n", "5", "--k", "2"], ["--n", "5"], ["--k", "2"]],
+        ids=["n-and-k", "n", "k"],
+    )
+    def test_h_refuses_params(self, capsys, params):
+        code, out, err = run(capsys, "export", "--family", "h", *params)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --family h takes no --n or --k\n"
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 import re
+import weakref
 from collections import deque
 from fractions import Fraction
 
@@ -10,7 +13,9 @@ from hypothesis import example, given, strategies as st
 from gpcover.graphs import (
     Graph,
     GraphFormatError,
+    _search,
     adjacency,
+    adjacency_masks,
     bipartition,
     connected_components,
     decode_graph6,
@@ -291,13 +296,81 @@ class TestSearchMatchesNetworkx:
                 assert (bipartition(g) is not None) == nx.is_bipartite(nxg)
 
     def test_results_are_fresh_lists(self):
-        # The search is cached; callers may still change what they get.
+        # The search is kept on the graph; callers may still change what they get.
         g = graph(4, [(0, 1), (2, 3)])
+        twin = graph(4, [(3, 2), (1, 0)])
         bipartition(g)[0] = 7
         connected_components(g)[0].append(9)
-        assert bipartition(g) == [0, 1, 0, 1]
-        assert connected_components(g) == [[0, 1], [2, 3]]
+        connected_components(g).pop()
+        assert bipartition(g) is not bipartition(g)
+        assert connected_components(g)[0] is not connected_components(g)[0]
+        for h in (g, twin):
+            assert bipartition(h) == [0, 1, 0, 1]
+            assert connected_components(h) == [[0, 1], [2, 3]]
+            assert not is_connected(h)
+
+
+def derive_all(g):
+    """Every derived datum a Graph keeps, through the public functions."""
+    return (hash(g), adjacency(g), adjacency_masks(g), degrees(g), bipartition(g),
+            is_connected(g), connected_components(g))
+
+
+class TestDerivedDataOnTheGraph:
+    """The hash, adjacency, adjacency_masks and the shared search are
+    computed once per Graph and kept on it, never in a module-level memo."""
+
+    def test_graphs_are_freed_with_their_last_reference(self):
+        # Reference counting alone must free them; no gc.collect() here.
+        g = gp(GpParams(402, 37))
+        cover = kronecker_cover(g)
+        derive_all(g)
+        derive_all(cover)
+        refs = [weakref.ref(g), weakref.ref(cover)]
+        del g, cover
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_equal_graphs_built_apart_agree(self):
+        for n, k in [(30, 7), (11, 3), (402, 37)]:
+            a = gp(GpParams(n, k))
+            b = decode_graph6(encode_graph6(a))
+            assert a == b and a is not b
+            derive_all(a)  # b derives its data from scratch
+            assert derive_all(b) == derive_all(a)
+            assert _search(b) == _search(a)
+            assert hash(a) == hash(b) == hash((a.vertex_count, a.edges))
+
+    def test_hash_is_the_field_hash(self):
+        rng = random.Random(43)
+        for g in [graph(0, []), k4(), *(random_graph(rng) for _ in range(20))]:
+            computed = hash(g)
+            assert computed == hash(g) == hash((g.vertex_count, g.edges))
+
+    def test_hand_built_graph(self):
+        g = Graph(5, ((0, 1), (1, 2), (3, 4)))
+        assert adjacency(g) == ((1,), (0, 2), (1,), (4,), (3,))
+        assert adjacency_masks(g) == (0b10, 0b101, 0b10, 0b10000, 0b1000)
+        assert degrees(g) == (1, 2, 1, 1, 1)
+        assert connected_components(g) == [[0, 1, 2], [3, 4]]
+        assert bipartition(g) == [0, 1, 0, 0, 1]
         assert not is_connected(g)
+        assert hash(g) == hash(graph(5, [(4, 3), (2, 1), (1, 0)]))
+        odd = Graph(3, ((0, 1), (0, 2), (1, 2)))
+        assert bipartition(odd) is None and is_connected(odd)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_copies_carry_the_fields_only(self, clone):
+        g = gp(GpParams(12, 5))
+        expected = derive_all(g)
+        c = clone(g)
+        assert set(vars(c)) == {"vertex_count", "edges"}
+        assert c == g
+        assert derive_all(c) == expected
+        assert repr(c) == repr(g)
 
 
 def girth_by_edge_removal(g: Graph):

@@ -1,5 +1,6 @@
-"""Every module in src/gpcover imports only names it uses, and defines only
-public names that something besides its own unit tests uses.
+"""Every module in src/gpcover imports only names it uses, defines only
+public names that something besides its own unit tests uses, and memoizes
+at module level only where a stated reason allows it.
 
 No linter is installed, so these walk each module's syntax tree with the
 standard library only.  ``import a.b`` binds ``a`` and ``import a as b``
@@ -121,3 +122,67 @@ def uncalled_public_names() -> list[str]:
 
 def test_public_names_have_a_caller():
     assert sorted(uncalled_public_names()) == sorted(UNCALLED_BUT_KEPT)
+
+
+# Module-level memos (functools.lru_cache or functools.cache) keep every key
+# they hold alive, so a graph's derived data belongs on the graph instead.
+# Each memo kept is listed with its reason.
+MEMOIZED_AND_KEPT = {
+    "oracle._kronecker_involutions_cached": "value-keyed on purpose: equal "
+    "graphs built apart share one covering-involution search",
+    "oracle._canonical_form_cached": "value-keyed on purpose: equal graphs "
+    "built apart share one canonical-form search",
+}
+
+
+def memoized_functions(source: str) -> list[str]:
+    """Functions and classes decorated with functools' lru_cache or cache,
+    whether bare, called (``lru_cache(maxsize=8)``), reached as an
+    attribute (``functools.cache``) or imported under another name."""
+    tree = ast.parse(source)
+    memos = {"lru_cache", "cache"}
+    memos |= {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in ("lru_cache", "cache") and alias.asname
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if isinstance(target, ast.Attribute):
+                    name = target.attr
+                else:
+                    name = getattr(target, "id", None)
+                if name in memos:
+                    found.append(node.name)
+    return found
+
+
+def test_module_level_memos_are_allowlisted():
+    found = [f"{p.stem}.{name}" for p in MODULES for name in memoized_functions(p.read_text())]
+    assert sorted(found) == sorted(MEMOIZED_AND_KEPT)
+
+
+def test_detector_flags_every_memo_spelling():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache, lru_cache as memo, wraps\n"
+        "@lru_cache(maxsize=2048)\n"
+        "def adjacency(g): ...\n"
+        "@lru_cache\n"
+        "def masks(g): ...\n"
+        "@functools.cache\n"
+        "def search(g): ...\n"
+        "@memo(None)\n"
+        "def colors(g): ...\n"
+        "class Graph:\n"
+        "    @cache\n"
+        "    def size(self): ...\n"
+        "@wraps(len)\n"
+        "def plain(g): ...\n"
+    )
+    assert memoized_functions(source) == ["adjacency", "masks", "search", "colors", "size"]

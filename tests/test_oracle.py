@@ -743,6 +743,34 @@ class TestQuotientClasses:
         assert is_isomorphic(kronecker_cover(q), g)
 
 
+class TestOracleMemos:
+    def test_equal_graphs_built_apart_share_one_search(self, monkeypatch):
+        # The oracle memos are keyed by graph value, so a graph equal to one
+        # searched before reuses its result even when it was built apart.
+        # Memos kept on each instance instead ran 106 canonical-form
+        # searches on this sweep.
+        from gpcover.census import verify
+
+        calls = {"_canonical_edges": 0, "automorphisms": 0}
+
+        def counting(name):
+            search = getattr(oracle, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return search(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(oracle, name, counting(name))
+        oracle._canonical_form_cached.cache_clear()
+        oracle._kronecker_involutions_cached.cache_clear()
+        assert verify(22).all_passed
+        assert calls["_canonical_edges"] <= 84, calls
+        assert calls["automorphisms"] <= 30, calls
+
+
 class TestVertexBound:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("GPCOVER_ORACLE_BOUND", "8")
