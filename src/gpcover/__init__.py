@@ -14,8 +14,6 @@ from .graphs import (
 from .families import (
     GpParams,
     LcfSpec,
-    c_minus,
-    c_plus,
     gp,
     h_graph,
     lcf,
@@ -48,13 +46,11 @@ from .classify import (
     Arith,
     Case,
     Classification,
-    Conditions,
     QuotientDesc,
     arith,
     classify,
     family_shifts,
     involution_family,
-    necessary_conditions,
     q_value,
     quotient_lcf,
     two_adic,

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Optional
 
 from .graphs import Graph
-from .families import GpParams, LcfSpec, c_minus, c_plus, gp, h_graph, lcf, rim_jumps
+from .families import GpParams, LcfSpec, gp, h_graph, lcf, rim_jumps
 from .perms import WordTriple, format_word
 
 
@@ -52,72 +52,6 @@ def arith(n: int, k: int) -> Arith:
     return Arith(n, k, q_value(n, k), n // gcd(n, k + 1), n // gcd(n, n - k + 1))
 
 
-@dataclass(frozen=True)
-class Conditions:
-    """The five necessary conditions for a rim-switching shift a to give a
-    covering involution (plain: alpha^a gamma; reflected: alpha^a beta gamma)."""
-
-    c1: bool  # doubling the shift never gives a covering involution
-    c2: bool  # a is an odd multiple of the minimal shift
-    c3: bool  # the minimal shift is even
-    c4: bool  # Q is even
-    c5: bool  # k = 1 (mod 4) (plain) / k = 3 (mod 4) (reflected)
-
-    def all_hold(self) -> bool:
-        return self.c1 and self.c2 and self.c3 and self.c4 and self.c5
-
-
-def _is_shift_involution(n: int, k: int, a: int, reflected: bool) -> bool:
-    """Arithmetic test: alpha^a gamma (or alpha^a beta gamma) is a covering
-    involution iff a(k+1) = 0 (resp. a(k-1) = 0) mod n, a is even, and the
-    spoke-fixing congruence (k-1)i = -a (resp. (k+1)i = a) is unsolvable."""
-    a %= n
-    step = k - 1 if reflected else k + 1
-    if (a * step) % n:
-        return False  # not an involution
-    if a % 2:
-        return False  # color-preserving
-    fix = gcd(n, k + 1 if reflected else k - 1)
-    return a % fix != 0  # a = 0 (mod fix) iff some spoke is fixed
-
-
-def _odd_multiple(a: int, m: int, n: int) -> bool:
-    """Does a = s*m (mod n) hold for some odd s?"""
-    if a % m:
-        return False
-    s, g = a // m, n // m
-    return s % 2 == 1 or (g % 2 == 1 and (s + g) % 2 == 1)
-
-
-def necessary_conditions(n: int, k: int, a: int, kind: str) -> Conditions:
-    """Evaluate the five conditions for shift a; kind is "plain" or "reflected"."""
-    if (k * k - 1) % n:
-        raise ValueError(f"requires k^2 = 1 (mod n); got k={k}, n={n}")
-    if kind not in ("plain", "reflected"):
-        raise ValueError(f"kind must be 'plain' or 'reflected', got {kind!r}")
-    reflected = kind == "reflected"
-    ar = arith(n, k)
-    m = ar.a_min_prime if reflected else ar.a_min
-    q = ar.q
-    return Conditions(
-        c1=not _is_shift_involution(n, k, 2 * a, reflected),
-        c2=_odd_multiple(a % n, m, n),
-        c3=m % 2 == 0,
-        c4=q is not None and q % 2 == 0,
-        c5=k % 4 == (3 if reflected else 1),
-    )
-
-
-def family_shifts(n: int, k: int) -> list[int]:
-    """All shifts a = s * a_min with s odd and a < n, for the shift type
-    selected by k mod 4 (plain for k = 1, reflected for k = 3 mod 4)."""
-    if k % 2 == 0:
-        raise ValueError("shift families require odd k")
-    ar = arith(n, k)
-    m = ar.a_min_prime if k % 4 == 3 else ar.a_min
-    return [s * m for s in range(1, n // m + 1, 2) if s * m < n]
-
-
 # ---------------------------------------------------------------------------
 # Classification result.
 
@@ -132,6 +66,43 @@ class Case(str, Enum):
     EXCEPTIONAL_8_3 = "Exceptional_8_3"
 
 
+# ---------------------------------------------------------------------------
+# The B-family rule, written once.  k = 1 (mod 4) selects case B1 and the
+# plain words alpha^a gamma, k = 3 (mod 4) case B2 and the reflected words
+# alpha^a beta gamma.  The quotient along shift a has jumps a + i*step:
+# step k - 1 (plain, C+) or -(k + 1) (reflected, C-).
+
+@dataclass(frozen=True)
+class _BFamily:
+    case: Case
+    kind: str   # quotient kind
+    label: str  # quotient label prefix
+    b: int      # beta exponent of the words alpha^a beta^b gamma
+
+    def step(self, k: int) -> int:
+        return -(k + 1) if self.b else k - 1
+
+    def min_shift(self, n: int, k: int) -> int:
+        ar = arith(n, k)
+        return ar.a_min_prime if self.b else ar.a_min
+
+
+_FAMILY_OF_K_MOD_4 = {
+    1: _BFamily(Case.B1, "cplus", "C+", 0),
+    3: _BFamily(Case.B2, "cminus", "C-", 1),
+}
+_FAMILY_OF_KIND = {f.kind: f for f in _FAMILY_OF_K_MOD_4.values()}
+
+
+def family_shifts(n: int, k: int) -> list[int]:
+    """All shifts a = s * a_min with s odd and a < n, for the shift type
+    selected by k mod 4 (plain for k = 1, reflected for k = 3 mod 4)."""
+    if k % 2 == 0:
+        raise ValueError("shift families require odd k")
+    m = _FAMILY_OF_K_MOD_4[k % 4].min_shift(n, k)
+    return [s * m for s in range(1, n // m + 1, 2) if s * m < n]
+
+
 @dataclass(frozen=True)
 class QuotientDesc:
     """Symbolic quotient: a GP graph, a ring-plus-matching LCF graph, or
@@ -142,21 +113,27 @@ class QuotientDesc:
     k: int = 0
     via: Optional[WordTriple | str] = None  # involution producing it
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("gp", "h", *_FAMILY_OF_KIND):
+            raise ValueError(f"unknown quotient kind {self.kind!r}")
+
     def label(self) -> str:
         if self.kind == "gp":
             return f"GP({self.n},{self.k})"
-        if self.kind == "cplus":
-            return f"C+({self.n},{self.k})"
-        if self.kind == "cminus":
-            return f"C-({self.n},{self.k})"
-        return "H"
+        if self.kind == "h":
+            return "H"
+        return f"{_FAMILY_OF_KIND[self.kind].label}({self.n},{self.k})"
 
     def spec(self) -> Optional[LcfSpec]:
-        if self.kind == "cplus":
-            return c_plus(GpParams(self.n, self.k))
-        if self.kind == "cminus":
-            return c_minus(GpParams(self.n, self.k))
-        return None
+        """C+/C-(n,k): the family's jumps at a = n/2, returned unvalidated
+        so degenerate instances surface in :func:`lcf`."""
+        family = _FAMILY_OF_KIND.get(self.kind)
+        if family is None:
+            return None
+        GpParams(self.n, self.k)  # validates n and k
+        if self.n % 2:
+            raise ValueError(f"n must be even, got {self.n}")
+        return rim_jumps(self.n, self.n // 2, family.step(self.k))
 
     def materialize(self) -> Graph:
         if self.kind == "gp":
@@ -210,30 +187,28 @@ def classify(p: GpParams) -> Classification:
         return Classification(n, k, Case.A2, (desc,), half)
     # n = 0 (mod 4): cover iff n | (k^2-1)/2, i.e. k^2 = 1 (mod n) and Q even.
     q = q_value(n, k)
-    halves = (k * k - 1) % 2 == 0 and ((k * k - 1) // 2) % n == 0
-    assert halves == (q is not None and q % 2 == 0)
     if q is None or q % 2:
         return Classification(n, k, Case.NO_COVER, (), None)
-    if k % 4 == 1:
-        tri = WordTriple(n // 2, 0, 1)
-        return Classification(
-            n, k, Case.B1, (QuotientDesc("cplus", n, k, via=tri),), tri
-        )
-    tri = WordTriple(n // 2, 1, 1)
+    family = _FAMILY_OF_K_MOD_4[k % 4]
+    tri = WordTriple(n // 2, family.b, 1)
     return Classification(
-        n, k, Case.B2, (QuotientDesc("cminus", n, k, via=tri),), tri
+        n, k, family.case, (QuotientDesc(family.kind, n, k, via=tri),), tri
     )
+
+
+def _family_of_b_case(p: GpParams) -> _BFamily:
+    """The family of a B1/B2 instance; any other case is an error."""
+    case = classify(p).case
+    if case not in (Case.B1, Case.B2):
+        raise ValueError(f"GP({p.n},{p.k}) is case {case.value}, not B1/B2")
+    return _FAMILY_OF_K_MOD_4[p.k % 4]
 
 
 def involution_family(p: GpParams) -> list[WordTriple]:
     """All covering involutions of a B1/B2 instance, as word triples,
     ascending in the shift."""
-    c = classify(p)
-    if c.case is Case.B1:
-        return [WordTriple(a, 0, 1) for a in family_shifts(p.n, p.k)]
-    if c.case is Case.B2:
-        return [WordTriple(a, 1, 1) for a in family_shifts(p.n, p.k)]
-    raise ValueError(f"GP({p.n},{p.k}) is case {c.case.value}, not B1/B2")
+    b = _family_of_b_case(p).b
+    return [WordTriple(a, b, 1) for a in family_shifts(p.n, p.k)]
 
 
 def quotient_lcf(p: GpParams, a: int) -> LcfSpec:
@@ -243,12 +218,7 @@ def quotient_lcf(p: GpParams, a: int) -> LcfSpec:
     n, k = p.n, p.k
     if a not in family_shifts(n, k):
         raise ValueError(f"shift {a} is not in the involution family of GP({n},{k})")
-    case = classify(p).case
-    if case is Case.B1:
-        return rim_jumps(n, a, k - 1)
-    if case is Case.B2:
-        return rim_jumps(n, a, -(k + 1))
-    raise ValueError(f"GP({n},{k}) is case {case.value}, not B1/B2")
+    return rim_jumps(n, a, _family_of_b_case(p).step(k))
 
 
 _SYMMETRIC_PAIRS = frozenset(

@@ -160,15 +160,12 @@ def _cmd_kc(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    if args.out and not args.out.endswith((".csv", ".json")):
+        raise ValueError(f"--out must end in .csv or .json, got {args.out!r}")
     rows = census(args.min_n, args.max_n, with_oracle=args.oracle,
                   include_nonbipartite=args.all_rows, jobs=args.jobs)
     if args.out:
-        if args.out.endswith(".json"):
-            text = rows_to_json(rows)
-        elif args.out.endswith(".csv"):
-            text = rows_to_csv(rows)
-        else:
-            raise ValueError(f"--out must end in .csv or .json, got {args.out!r}")
+        text = rows_to_json(rows) if args.out.endswith(".json") else rows_to_csv(rows)
         _write_text(args.out, text)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     else:

@@ -100,25 +100,6 @@ def rim_jumps(n: int, a: int, step: int) -> LcfSpec:
     return LcfSpec(n, tuple((a + i * step) % n for i in range(n)))
 
 
-def c_plus(p: GpParams) -> LcfSpec:
-    """Jump sequence f(i) = n/2 + i(k-1) mod n.
-
-    Returned unvalidated; degenerate instances surface in :func:`lcf`.
-    """
-    n, k = p.n, p.k
-    if n % 2:
-        raise ValueError(f"n must be even, got {n}")
-    return rim_jumps(n, n // 2, k - 1)
-
-
-def c_minus(p: GpParams) -> LcfSpec:
-    """Jump sequence f(i) = n/2 - i(k+1) mod n (unvalidated, see c_plus)."""
-    n, k = p.n, p.k
-    if n % 2:
-        raise ValueError(f"n must be even, got {n}")
-    return rim_jumps(n, n // 2, -(k + 1))
-
-
 def h_graph() -> Graph:
     """The 10-vertex cubic apex graph: K3 x P3 (Cartesian) with the middle
     triangle deleted and a new vertex joined to the three degree-2 vertices.

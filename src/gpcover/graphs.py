@@ -303,18 +303,7 @@ def decode_graph6(s: str | bytes) -> Graph:
     return graph(n, edges)
 
 
-def to_dot(g: Graph, labels: Optional[Sequence[str]] = None) -> str:
-    """DOT `graph` block; node lines only when labels are given."""
-    if labels is not None and len(labels) != g.vertex_count:
-        raise ValueError(
-            f"got {len(labels)} labels for {g.vertex_count} vertices"
-        )
-    lines = ["graph G {"]
-    if labels is not None:
-        for v in range(g.vertex_count):
-            text = labels[v].replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  {v} [label="{text}"];')
-    for u, v in g.edges:
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
+def to_dot(g: Graph) -> str:
+    """DOT `graph` block with one line per edge."""
+    lines = ["graph G {", *(f"  {u} -- {v};" for u, v in g.edges), "}"]
     return "\n".join(lines) + "\n"

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph
-from .families import GpParams
 
 Perm = tuple[int, ...]
 
@@ -172,26 +171,3 @@ def is_automorphism(g: Graph, p: Sequence[int]) -> bool:
         if ((pu, pv) if pu < pv else (pv, pu)) not in edge_set:
             return False
     return True
-
-
-def dihedral_group(n: int) -> list[Perm]:
-    """The 2n rotations/reflections of GP(n,k) as permutations."""
-    alpha = rotation(n)
-    beta = reflection(n)
-    out = []
-    p = identity(2 * n)
-    for _ in range(n):
-        out.append(p)
-        out.append(compose(p, beta))
-        p = compose(alpha, p)
-    return sorted(out)
-
-
-def word_group(p: GpParams) -> list[Perm]:
-    """All distinct alpha^a beta^b gamma^c permutations of GP(n,k)."""
-    n, k = p.n, p.k
-    perms = set(dihedral_group(n))
-    if _gamma_valid(n, k):
-        gamma = rim_swap(n, k)
-        perms |= {compose(q, gamma) for q in list(perms)}
-    return sorted(perms)

@@ -2,16 +2,16 @@ from math import gcd
 
 import pytest
 
-from gpcover.families import GpParams, c_minus, c_plus, gp, lcf
+from gpcover.families import GpParams, gp, lcf
 from gpcover.perms import WordTriple, from_triple
 from gpcover.covers import is_kronecker_involution
 from gpcover.classify import (
     Case,
+    QuotientDesc,
     arith,
     classify,
     family_shifts,
     involution_family,
-    necessary_conditions,
     q_value,
     quotient_lcf,
     two_adic,
@@ -63,32 +63,6 @@ class TestArithIdentities:
                 if q is None or q % 2:
                     continue
                 assert n // 2 in family_shifts(n, k), (n, k)
-
-
-class TestNecessaryConditions:
-    def test_12_5_plain_all_hold(self):
-        c = necessary_conditions(12, 5, 6, "plain")
-        assert c.all_hold()
-
-    def test_24_5_q_odd(self):
-        c = necessary_conditions(24, 5, 12, "plain")
-        assert not c.c4
-
-    def test_24_7_reflected_all_hold(self):
-        c = necessary_conditions(24, 7, 12, "reflected")
-        assert c.all_hold()
-
-    def test_24_7_plain_k_mod_4_fails(self):
-        c = necessary_conditions(24, 7, 12, "plain")
-        assert not c.c5
-
-    def test_requires_ksq_one(self):
-        with pytest.raises(ValueError, match="k\\^2"):
-            necessary_conditions(7, 2, 1, "plain")
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            necessary_conditions(12, 5, 6, "weird")
 
 
 TABLE_CASES = [
@@ -192,10 +166,14 @@ class TestInvolutionFamily:
 
 class TestQuotientLcf:
     def test_canonical_shift_matches_c_plus(self):
-        assert quotient_lcf(GpParams(12, 5), 6) == c_plus(GpParams(12, 5))
+        spec = quotient_lcf(GpParams(12, 5), 6)
+        assert spec == QuotientDesc("cplus", 12, 5).spec()
+        assert spec.jumps == (6, 10, 2) * 4  # f(i) = 6 + 4i
 
     def test_canonical_shift_matches_c_minus(self):
-        assert quotient_lcf(GpParams(24, 7), 12) == c_minus(GpParams(24, 7))
+        spec = quotient_lcf(GpParams(24, 7), 12)
+        assert spec == QuotientDesc("cminus", 24, 7).spec()
+        assert spec.jumps[:4] == (12, 4, 20, 12)  # f(i) = 12 - 8i
 
     def test_shift_by_k_minus_1_rotates_sequence(self):
         p = GpParams(12, 5)
@@ -211,3 +189,24 @@ class TestQuotientLcf:
         graphs = [lcf(quotient_lcf(p, t.a)) for t in involution_family(p)]
         assert all(is_isomorphic(graphs[0], g) for g in graphs[1:])
 
+
+def b_instances(max_n):
+    return [
+        GpParams(n, k)
+        for n in range(4, max_n + 1, 4)
+        for k in range(1, (n - 1) // 2 + 1, 2)
+        if classify(GpParams(n, k)).case in (Case.B1, Case.B2)
+    ]
+
+
+class TestQuotientDesc:
+    def test_b_quotient_is_family_quotient_at_half_shift(self):
+        instances = b_instances(200)
+        assert len(instances) > 50
+        for p in instances:
+            (desc,) = classify(p).quotients
+            assert desc.materialize() == lcf(quotient_lcf(p, p.n // 2)), p
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown quotient kind 'weird'"):
+            QuotientDesc("weird", 4, 1)

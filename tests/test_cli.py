@@ -1,12 +1,15 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from gpcover import cli
 from gpcover.cli import main
 from gpcover.graphs import decode_graph6
-from gpcover.families import GpParams, gp, h_graph, lcf, c_plus
+from gpcover.families import GpParams, gp, h_graph
+from gpcover.classify import Case, QuotientDesc, classify
 from gpcover.oracle import is_isomorphic
 
 
@@ -72,7 +75,7 @@ class TestQuotientCommand:
     def test_family_member(self, capsys):
         code, out, _ = run(capsys, "quotient", "--n", "12", "--k", "5", "--a", "2")
         assert code == 0
-        assert is_isomorphic(decode_graph6(out.strip()), lcf(c_plus(GpParams(12, 5))))
+        assert is_isomorphic(decode_graph6(out.strip()), QuotientDesc("cplus", 12, 5).materialize())
 
     def test_delta(self, capsys):
         code, out, _ = run(capsys, "quotient", "--n", "10", "--k", "3", "--delta")
@@ -174,11 +177,17 @@ class TestCensusCommand:
         assert code == 0
         assert json.loads(path.read_text())
 
-    def test_bad_extension(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "census", "--max-n", "8", "--out", str(tmp_path / "rows.txt")
-        )
-        assert code == 1
+    def test_bad_extension(self, capsys, tmp_path, monkeypatch):
+        # Refused before the sweep starts, not after it.
+        def sweep(*args, **kwargs):
+            raise AssertionError("the census sweep was started")
+
+        monkeypatch.setattr(cli, "census", sweep)
+        path = tmp_path / "rows.txt"
+        code, out, err = run(capsys, "census", "--max-n", "60", "--oracle", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: --out must end in .csv or .json, got {str(path)!r}\n"
+        assert not path.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-4", "two"])
     def test_bad_jobs_is_usage_error(self, capsys, jobs):
@@ -290,6 +299,29 @@ class TestExportCommand:
         )
         assert code == 1
         assert "zero jump" in err
+
+    def test_cplus_odd_n_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "export", "--family", "cplus", "--n", "7", "--k", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: n must be even, got 7\n"
+
+    def test_b_quotients_pinned(self, capsys):
+        # The concatenated graph6 of C+/C-(n,k) for every B1/B2 instance with
+        # n <= 60, as exported before C+/C- were rebuilt on the family rule.
+        out = []
+        for n in range(4, 61, 4):
+            for k in range(1, (n - 1) // 2 + 1, 2):
+                case = classify(GpParams(n, k)).case
+                if case in (Case.B1, Case.B2):
+                    family = "cplus" if case is Case.B1 else "cminus"
+                    code, text, _ = run(capsys, "export", "--family", family,
+                                        "--n", str(n), "--k", str(k))
+                    assert code == 0, (n, k)
+                    out.append(text)
+        assert len(out) == 28
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+            "fe7b19261e493ffa5aec446b27955dd781a288e0e357c47add4e27328e1271ee"
+        )
 
     def test_missing_params(self, capsys):
         code, _, err = run(capsys, "export", "--family", "gp")

@@ -1,7 +1,8 @@
 import pytest
 
 from gpcover.graphs import bipartition, connected_components, degrees, graph
-from gpcover.families import GpParams, c_plus, gp, lcf
+from gpcover.families import GpParams, gp
+from gpcover.classify import QuotientDesc
 from gpcover.perms import WordTriple, from_triple, power, rotation
 from gpcover.covers import (
     NotKroneckerInvolution,
@@ -128,7 +129,7 @@ class TestQuotient:
 
     def test_12_5_quotient_matches_lcf(self):
         q = quotient(gp(GpParams(12, 5)), from_triple(12, 5, WordTriple(6, 0, 1)))
-        assert is_isomorphic(q, lcf(c_plus(GpParams(12, 5))))
+        assert is_isomorphic(q, QuotientDesc("cplus", 12, 5).materialize())
 
     def test_quotient_is_cubic(self):
         q = quotient(gp(GpParams(14, 3)), power(rotation(14), 7))

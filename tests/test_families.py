@@ -5,14 +5,13 @@ from gpcover.graphs import degrees, girth, graph
 from gpcover.families import (
     GpParams,
     LcfSpec,
-    c_minus,
-    c_plus,
     gp,
     h_graph,
     lcf,
     lcf_violations,
 )
 from gpcover.covers import kronecker_cover
+from gpcover.classify import QuotientDesc, quotient_lcf
 from gpcover.oracle import is_isomorphic
 
 
@@ -85,8 +84,7 @@ class TestLcf:
 
     def test_valid_specs_are_cubic(self):
         for p in [GpParams(4, 1), GpParams(12, 5), GpParams(20, 9), GpParams(24, 7)]:
-            spec = c_plus(p) if p.k % 4 == 1 else c_minus(p)
-            g = lcf(spec)
+            g = lcf(quotient_lcf(p, p.n // 2))
             assert g.vertex_count == p.n
             assert len(g.edges) == 3 * p.n // 2
             assert set(degrees(g)) == {3}
@@ -107,32 +105,33 @@ def moebius_ladder(n):
 
 class TestCPlusMinus:
     def test_c_plus_4_1(self):
-        spec = c_plus(GpParams(4, 1))
+        spec = QuotientDesc("cplus", 4, 1).spec()
         assert spec.jumps == (2, 2, 2, 2)
         assert lcf(spec) == gp_k4()
 
     def test_c_plus_12_5(self):
-        assert c_plus(GpParams(12, 5)).jumps == (6, 10, 2) * 4
+        assert QuotientDesc("cplus", 12, 5).spec().jumps == (6, 10, 2) * 4
 
     def test_c_minus_8_3_degenerate(self):
-        spec = c_minus(GpParams(8, 3))
+        desc = QuotientDesc("cminus", 8, 3)
+        spec = desc.spec()
         assert spec.jumps == (4, 0, 4, 0, 4, 0, 4, 0)
         assert any("zero jump" in v for v in lcf_violations(spec))
         with pytest.raises(ValueError, match="zero jump"):
-            lcf(spec)
+            desc.materialize()
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            c_plus(GpParams(5, 2))
+            QuotientDesc("cplus", 5, 2).spec()
         with pytest.raises(ValueError, match="even"):
-            c_minus(GpParams(5, 2))
+            QuotientDesc("cminus", 5, 2).materialize()
 
     def test_c_plus_n_1_is_moebius_ladder(self):
         for n in (4, 8, 12, 16):
-            assert lcf(c_plus(GpParams(n, 1))) == moebius_ladder(n)
+            assert QuotientDesc("cplus", n, 1).materialize() == moebius_ladder(n)
 
     def test_c_minus_24_7(self):
-        spec = c_minus(GpParams(24, 7))
+        spec = QuotientDesc("cminus", 24, 7).spec()
         assert spec.jumps[:4] == (12, 4, 20, 12)
         assert not lcf_violations(spec)
 

@@ -558,15 +558,8 @@ class TestDot:
         assert text.count(" -- ") == 1
 
     def test_gp_4_1_counts(self):
-        g = gp(GpParams(4, 1))
-        labels = [f"u{i}" for i in range(4)] + [f"v{i}" for i in range(4)]
-        text = to_dot(g, labels)
-        assert text.count("label=") == 8
+        text = to_dot(gp(GpParams(4, 1)))
         assert text.count(" -- ") == 12
 
     def test_empty_graph_valid(self):
         assert to_dot(graph(0, [])) == "graph G {\n}\n"
-
-    def test_label_mismatch(self):
-        with pytest.raises(ValueError, match="labels"):
-            to_dot(graph(2, [(0, 1)]), ["only-one"])

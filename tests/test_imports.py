@@ -61,9 +61,6 @@ def test_detector_flags_an_unused_plain_import():
 
 # Public names kept without a caller, each for a stated reason.
 UNCALLED_BUT_KEPT = {
-    "necessary_conditions": "the paper's conditions C1-C5; the classifier "
-    "tests check them and the structured route is to use them",
-    "word_group": "the structured route is to enumerate the word group",
     "girth": "the README names it in prose; the unit suite checks it "
     "against an edge-removal search",
 }

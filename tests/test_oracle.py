@@ -729,8 +729,7 @@ class TestQuotientClasses:
     def test_full_pipeline_at_vertex_bound(self):
         # GP(60,11) has 120 vertices, exactly the default oracle bound, and
         # is a reflected-family instance: 169 - 1 = 120 = 2*60.
-        from gpcover.families import c_minus, lcf
-        from gpcover.classify import involution_family
+        from gpcover.classify import QuotientDesc, involution_family
 
         p = GpParams(60, 11)
         g = gp(p)
@@ -739,7 +738,7 @@ class TestQuotientClasses:
         assert set(invs) == family
         assert len(invs) == 5  # gcd(60, 60-11+1)/2
         q = quotient(g, sorted(invs)[0])
-        assert is_isomorphic(q, lcf(c_minus(p)))
+        assert is_isomorphic(q, QuotientDesc("cminus", 60, 11).materialize())
         assert is_isomorphic(kronecker_cover(q), g)
 
 

@@ -8,7 +8,6 @@ from gpcover.perms import (
     WordTriple,
     compose,
     desargues_half_turn,
-    dihedral_group,
     format_word,
     from_triple,
     identity,
@@ -18,8 +17,31 @@ from gpcover.perms import (
     reflection,
     rim_swap,
     rotation,
-    word_group,
 )
+
+
+def words(n, k):
+    """The 4n words alpha^a beta^b gamma^c of GP(n,k), evaluated."""
+    return [
+        from_triple(n, k, WordTriple(a, b, c))
+        for a in range(n)
+        for b in (0, 1)
+        for c in (0, 1)
+    ]
+
+
+def closure(generators):
+    """The group the generators generate, by breadth-first multiplication."""
+    group = {identity(len(generators[0]))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            q = compose(g, p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
 
 
 class TestGroupOps:
@@ -125,7 +147,7 @@ class TestDesarguesHalfTurn:
         assert any(tuple(sorted((d[u], d[v]))) in spokes for u, v in outer)
 
     def test_not_in_word_group(self):
-        assert desargues_half_turn() not in set(word_group(GpParams(10, 3)))
+        assert desargues_half_turn() not in set(words(10, 3))
 
     def test_quotient_is_h_graph(self):
         g = gp(GpParams(10, 3))
@@ -146,20 +168,12 @@ class TestWordTriples:
             from_triple(7, 2, WordTriple(0, 0, 1))
 
     def test_triple_uniqueness(self):
-        # Distinct triples give distinct permutations (the word group has
-        # full order 4n here).
+        # Distinct triples give distinct permutations, and together they are
+        # the whole group <alpha, beta, gamma> (of full order 4n here).
         n, k = 12, 5
-        seen = {}
-        for a in range(n):
-            for b in (0, 1):
-                for c in (0, 1):
-                    p = from_triple(n, k, WordTriple(a, b, c))
-                    assert p not in seen
-                    seen[p] = (a, b, c)
-        assert len(seen) == 4 * n == len(word_group(GpParams(n, k)))
-
-    def test_dihedral_group_size(self):
-        assert len(dihedral_group(9)) == 18
+        found = words(n, k)
+        assert len(set(found)) == len(found) == 4 * n
+        assert set(found) == closure([rotation(n), reflection(n), rim_swap(n, k)])
 
     def test_format_word(self):
         assert format_word(WordTriple(6, 0, 1)) == "α⁶γ"
