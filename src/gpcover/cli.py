@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -39,11 +40,11 @@ def _at_least(low: int):
     return parse
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write an output file; a path that cannot be written is an error that
-    names it and the system's reason."""
+def _write_text(path: str, text: str, mode: str = "w") -> None:
+    """Write an output file (mode "a" with no text only checks the path); a
+    path that cannot be written is an error naming it and the system's reason."""
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             fh.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -162,6 +163,11 @@ def _cmd_kc(args) -> int:
 def _cmd_census(args) -> int:
     if args.out and not args.out.endswith((".csv", ".json")):
         raise ValueError(f"--out must end in .csv or .json, got {args.out!r}")
+    if args.out:  # fail before the sweep; a file made by the check goes again
+        made = not os.path.exists(args.out)
+        _write_text(args.out, "", "a")
+        if made:
+            os.remove(args.out)
     rows = census(args.min_n, args.max_n, with_oracle=args.oracle,
                   include_nonbipartite=args.all_rows, jobs=args.jobs)
     if args.out:

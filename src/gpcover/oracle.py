@@ -10,14 +10,17 @@ rules of McKay & Piperno (2014): automorphism backjumps, stabilizer orbits
 along the first path, and a node invariant (the cell sizes along the path)
 compared with the best leaf's.
 
-Refinement takes its splitters from a queue and re-examines only the cells
-next to a cell that just split; a split moves only the splitter's
-neighbors, so cells keep no sorted order.  The root of each search queues
-every cell; below the root of the canonical-form tree only the
-individualized vertex is queued, because its parent partition was already
-equitable.  Every choice the refinement makes depends on cell positions and
-neighbor counts, never on vertex names, so the sequence of cells commutes
-with relabeling, which the canonical form relies on.
+A partition has one format throughout: the arrays [order, pos, start_of,
+size], in which each cell is a run of order named by its start position.
+Refinement changes them in place.  It takes its splitters from a queue and
+re-examines only the cells next to a cell that just split; a split moves
+only the splitter's neighbors, so cells keep no sorted order.  The root of
+each search is refined from the unit partition; a child in the
+canonical-form tree copies its parent's arrays, individualizes one vertex
+and queues only that singleton, because the parent was already equitable.
+Every choice the refinement makes depends on cell positions and neighbor
+counts, never on vertex names, so the sequence of cells commutes with
+relabeling, which the canonical form relies on.
 
 Covering involutions come from the same backtracking engine in a pruned
 mode that applies the involution clauses at every node, so it never
@@ -76,24 +79,22 @@ def check_bound(vertex_count: int) -> None:
 # ---------------------------------------------------------------------------
 # Equitable partition refinement.
 
-def _refine_cells(
-    adj: Sequence[Sequence[int]],
-    cells: list[tuple[int, ...]],
-    _splitter: Optional[int] = None,
-) -> list[tuple[int, ...]]:
-    """Coarsest equitable refinement of an ordered partition, by a splitter
-    queue (McKay 1981; McKay & Piperno 2014).
+def _refine(adj: Sequence[Sequence[int]], part: list[list[int]], queue: list[int]) -> None:
+    """Refine the partition part = [order, pos, start_of, size] in place to
+    its coarsest equitable refinement, by a splitter queue seeded with the
+    cell starts in queue (McKay 1981; McKay & Piperno 2014).
 
-    The partition is one vertex array in which each cell is a run, named by
-    its start position.  Splitters leave a FIFO queue one at a time; every
-    non-singleton cell holding a neighbor of the splitter is split by its
-    members' neighbor counts into the splitter.  With every cell queued
+    The partition is one vertex array, order, in which each cell is a run
+    named by its start position: pos[v] is v's position, start_of[v] the
+    start of v's cell, and size[s] the length of the cell starting at s,
+    0 where no cell starts.  Splitters leave a FIFO queue one at a time;
+    every non-singleton cell holding a neighbor of the splitter is split by
+    its members' neighbor counts into the splitter.  With every cell queued
     first, the partition is equitable once the queue is empty.
 
-    ``_splitter`` queues only the cell starting at that position.  This is
-    enough when the input is an equitable partition in which one vertex v
-    was taken out of its cell C as the singleton (v,) at that position: a
-    vertex's count into C minus v is its count into C, which is the same
+    Queuing only [s] is enough when the partition was equitable until one
+    vertex v of a cell C was moved to C's front as the singleton cell s:
+    a vertex's count into C minus v is its count into C, which is the same
     across its cell, minus its count into (v,).
 
     A split moves only the splitter's neighbors: each is swapped into the
@@ -110,23 +111,11 @@ def _refine_cells(
     cell all but its first largest piece.  Leaving that piece out is sound
     for the same reason as the singleton seed: counts into it are counts
     into the old cell minus counts into the other pieces.  A cell that never
-    splits keeps the input's order.
+    splits keeps its order.
     """
-    order = [v for cell in cells for v in cell]
+    order, pos, start_of, size = part
     n = len(order)
-    pos = [0] * n  # position of each vertex in order
-    start_of = [0] * n  # start position of each vertex's cell
-    size = [0] * n  # size[s]: length of the cell starting at s
-    starts = []
-    s = 0
-    for cell in cells:
-        size[s] = len(cell)
-        starts.append(s)
-        for i, v in enumerate(cell, s):
-            start_of[v] = s
-            pos[v] = i
-        s += len(cell)
-    queue = deque(starts if _splitter is None else [_splitter])
+    queue = deque(queue)
     queued = [False] * n
     for s in queue:
         queued[s] = True
@@ -209,12 +198,14 @@ def _refine_cells(
                     queue.append(q)
         for w in touched:
             count[w] = 0
-    result = []
-    s = 0
-    while s < n:
-        result.append(tuple(order[s:s + size[s]]))
-        s += size[s]
-    return result
+
+
+def _equitable(adj: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The coarsest equitable partition of a graph on n >= 1 vertices."""
+    n = len(adj)
+    part = [list(range(n)), list(range(n)), [0] * n, [n] + [0] * (n - 1)]
+    _refine(adj, part, [0])
+    return part
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +240,15 @@ def automorphisms(
         return [()]
     adj = adjacency(g)
     masks = adjacency_masks(g)
-    cells = _refine_cells(adj, [tuple(range(n))])
-    color = [0] * n
-    for ci, cell in enumerate(cells):
-        for v in cell:
-            color[v] = ci
+    order, _, color, size = _equitable(adj)  # a vertex's colour is its cell's start
 
     pairs = involution_colors is not None
     if pairs:
         if len(involution_colors) != n:
             raise ValueError("involution_colors does not fit the graph")
+        for v, side in enumerate(involution_colors):
+            if side not in (0, 1):
+                raise ValueError(f"involution_colors[{v}] is {side!r}, not 0 or 1")
         # An image keeps the refinement cell and flips the side.
         have = [2 * color[v] + involution_colors[v] for v in range(n)]
         want = [2 * color[v] + 1 - involution_colors[v] for v in range(n)]
@@ -312,7 +302,8 @@ def automorphisms(
                 req |= bit[mapping[w]]
             blocked = used | masks[u] if pairs else used
             wu = want[u]
-            for x in cells[color[u]] if pivot[t] < 0 else adj[mapping[pivot[t]]]:
+            s = color[u]
+            for x in order[s:s + size[s]] if pivot[t] < 0 else adj[mapping[pivot[t]]]:
                 if not blocked & bit[x] and have[x] == wu and masks[x] & used == req:
                     images.append(x)
         # Back up to the deepest branching depth with an image left.  A
@@ -390,18 +381,20 @@ def _canonical_edges(g: Graph) -> tuple[tuple[int, int], ...]:
 class _Node:
     """An inner node of the canonical-form search tree on the current path.
 
-    ``tied`` says whether the shapes along the path down to this node equal
-    the best leaf's; ``orbits`` is set only on the first path, where it is
-    the union-find of the automorphisms found so far that fix the path's
-    individualized vertices above this node."""
+    ``part`` is the node's partition, which the search never changes once
+    the node exists, and ``start`` the start of its target cell, whose
+    members are individualized in turn.  ``tied`` says whether the shapes
+    along the path down to this node equal the best leaf's; ``orbits`` is
+    set only on the first path, where it is the union-find of the
+    automorphisms found so far that fix the path's individualized vertices
+    above this node."""
 
-    __slots__ = ("cells", "target", "start", "untried", "done", "tied", "orbits")
+    __slots__ = ("part", "start", "untried", "done", "tied", "orbits")
 
-    def __init__(self, cells, target, start, tied, orbits):
-        self.cells = cells
-        self.target = target
+    def __init__(self, part, start, tied, orbits):
+        self.part = part
         self.start = start
-        self.untried = iter(cells[target])
+        self.untried = iter(part[0][start:start + part[3][start]])
         self.done: list[int] = []
         self.tied = tied
         self.orbits = orbits
@@ -414,59 +407,63 @@ def _find(uf: list[int], x: int) -> int:
     return x
 
 
-def _homogeneous(adj: Sequence[Sequence[int]], cells: list[tuple[int, ...]]) -> bool:
+def _homogeneous(adj: Sequence[Sequence[int]], part: list[list[int]]) -> bool:
     """Whether edges depend on cell membership only: every cell is complete
     or empty inside and every pair of cells is joined completely or not at
     all.  Then every discrete refinement below yields the same relabeled
     edges.  The partition is equitable, so one member per cell decides."""
-    cell_of = [0] * len(adj)
-    for ci, cell in enumerate(cells):
-        for v in cell:
-            cell_of[v] = ci
-    for ci, cell in enumerate(cells):
+    order, _, start_of, size = part
+    s = 0
+    while s < len(order):
         counts: dict[int, int] = {}
-        for w in adj[cell[0]]:
-            cj = cell_of[w]
-            counts[cj] = counts.get(cj, 0) + 1
-        for cj, k in counts.items():
-            if k != len(cells[cj]) - (cj == ci):
+        for w in adj[order[s]]:
+            c = start_of[w]
+            counts[c] = counts.get(c, 0) + 1
+        for c, k in counts.items():
+            if k != size[c] - (c == s):
                 return False
+        s += size[s]
     return True
 
 
-def _relabeled_edges(g: Graph, order: list[int]) -> tuple[tuple[int, int], ...]:
-    """g's sorted edge tuple after relabeling order[p] as p."""
-    label = [0] * len(order)
-    for p, v in enumerate(order):
-        label[v] = p
+def _relabeled_edges(g: Graph, pos: list[int]) -> tuple[tuple[int, int], ...]:
+    """g's sorted edge tuple after relabeling each vertex v as pos[v]."""
     edges = []
     for u, v in g.edges:
-        lu, lv = label[u], label[v]
+        lu, lv = pos[u], pos[v]
         edges.append((lu, lv) if lu < lv else (lv, lu))
     return tuple(sorted(edges))
 
 
-def _next_child(adj, node: _Node, bound: Optional[tuple[int, ...]]):
-    """The next child of node that no rule prunes, as (vertex, refined
-    cells, shape, tied), or None.  ``bound`` is the best leaf's shape one
-    level down when the path is tied with it, else None."""
-    cells, t = node.cells, node.target
+def _next_child(adj, node: _Node, bound: Optional[list[int]]):
+    """The next child of node that no rule prunes, as (vertex, partition,
+    tied), or None.  The child's partition is a copy of node's in which the
+    vertex moves to the front of the target cell as a singleton, refined
+    from that singleton.  ``bound`` is the best leaf's shape one level down
+    when the path is tied with it, else None."""
+    s = node.start
     for v in node.untried:
         if node.orbits is not None:
             rv = _find(node.orbits, v)
             if any(_find(node.orbits, u) == rv for u in node.done):
                 continue
         node.done.append(v)
-        child = _refine_cells(
-            adj,
-            cells[:t] + [(v,), tuple(x for x in cells[t] if x != v)] + cells[t + 1:],
-            node.start,
-        )
-        shape = tuple(map(len, child))
+        child = [a[:] for a in node.part]
+        order, pos, start_of, size = child
+        rest = [x for x in order[s:s + size[s]] if x != v]
+        order[s] = v
+        pos[v] = s
+        for p, x in enumerate(rest, s + 1):
+            order[p] = x
+            pos[x] = p
+            start_of[x] = s + 1
+        size[s] = 1
+        size[s + 1] = len(rest)
+        _refine(adj, child, [s])
         if bound is None:
-            return v, child, shape, node.tied
-        if shape <= bound:
-            return v, child, shape, shape == bound
+            return v, child, node.tied
+        if size <= bound:
+            return v, child, size == bound
     return None
 
 
@@ -476,15 +473,16 @@ def _canonical_edges_connected(g: Graph) -> tuple[tuple[int, int], ...]:
 
     A node is an equitable partition: the root is refined in full, and a
     child individualizes one vertex of the first smallest non-singleton cell
-    and is refined from that singleton.  A node's shape is the tuple of its
-    cell sizes.  A node is a leaf when its partition is discrete, or when
-    its edges depend on cell membership only (then every discrete partition
-    below it gives the same edges).  A leaf's certificate is the pair (the
-    shapes along its path, its relabeled sorted edge tuple), and leaves are
-    ordered by certificate.  The individualized vertex of each level keeps
-    its position down to the leaf, and those positions follow from the
-    shapes, so two leaves with equal certificates differ by an automorphism
-    that maps one path onto the other.
+    and is refined from that singleton.  A node's shape is its ``size``
+    list, each cell's size at its start and 0 elsewhere; shapes compare as
+    the tuples of cell sizes would.  A node is a leaf when its partition is
+    discrete, or when its edges depend on cell membership only (then every
+    discrete partition below it gives the same edges).  A leaf's certificate
+    is the pair (the shapes along its path, its relabeled sorted edge
+    tuple), and leaves are ordered by certificate.  The individualized
+    vertex of each level keeps its position down to the leaf, and those
+    positions follow from the shapes, so two leaves with equal certificates
+    differ by an automorphism that maps one path onto the other.
 
     The search keeps the first leaf and the best leaf and prunes by three
     rules, none of which can lose the least certificate:
@@ -505,27 +503,22 @@ def _canonical_edges_connected(g: Graph) -> tuple[tuple[int, int], ...]:
     if not n:
         return ()
     adj = adjacency(g)
-    cells = _refine_cells(adj, [tuple(range(n))])
+    part = _equitable(adj)
     tied = True
     path: list[int] = []  # the vertex individualized at each depth
-    shapes = [tuple(map(len, cells))]
+    shapes = [part[3]]
     nodes: list[_Node] = []  # the inner nodes above the current node
     # Reference leaves as (certificate, vertex order, path).
     first: Optional[tuple] = None
     best: Optional[tuple] = None
     while True:
-        target = -1
-        start = target_start = 0
-        for ci, cell in enumerate(cells):
-            if len(cell) > 1 and (target < 0 or len(cell) < len(cells[target])):
-                target, target_start = ci, start
-            start += len(cell)
-        if target >= 0 and not _homogeneous(adj, cells):
+        order, pos, _, size = part
+        open_cells = [(z, s) for s, z in enumerate(size) if z > 1]
+        if open_cells and not _homogeneous(adj, part):
             orbits = list(range(n)) if first is None else None
-            nodes.append(_Node(cells, target, target_start, tied, orbits))
+            nodes.append(_Node(part, min(open_cells)[1], tied, orbits))
         else:
-            order = [v for cell in cells for v in cell]
-            cert = (tuple(shapes), _relabeled_edges(g, order))
+            cert = (tuple(shapes), _relabeled_edges(g, pos))
             back = len(path) - 1  # the depth to resume at
             if first is None:
                 first = best = (cert, order, path[:])
@@ -562,12 +555,12 @@ def _canonical_edges_connected(g: Graph) -> tuple[tuple[int, int], ...]:
             bound = None
             if node.tied and best is not None:
                 best_shapes = best[0][0]
-                bound = best_shapes[d + 1] if d + 1 < len(best_shapes) else ()
+                bound = best_shapes[d + 1] if d + 1 < len(best_shapes) else []
             found = _next_child(adj, node, bound)
             if found is not None:
-                v, cells, shape, tied = found
+                v, part, tied = found
                 path.append(v)
-                shapes.append(shape)
+                shapes.append(part[3])
                 break
             nodes.pop()
         else:

@@ -189,6 +189,28 @@ class TestCensusCommand:
         assert err == f"error: --out must end in .csv or .json, got {str(path)!r}\n"
         assert not path.exists()
 
+    def test_unwritable_out_refused_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the census sweep was started")
+
+        monkeypatch.setattr(cli, "census", sweep)
+        path = tmp_path / "missing" / "rows.csv"
+        code, out, err = run(capsys, "census", "--max-n", "40", "--oracle", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_failed_sweep_leaves_out_files_as_they_were(self, capsys, tmp_path):
+        # The early check neither truncates an existing file nor leaves a
+        # new empty one behind when the sweep then fails.
+        kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+        kept.write_text("earlier rows\n")
+        for path in (kept, fresh):
+            code, out, err = run(capsys, "census", "--max-n", "62", "--oracle", "--out", str(path))
+            assert (code, out) == (1, "")
+            assert "oracle bound is 120" in err
+        assert kept.read_text() == "earlier rows\n"
+        assert not fresh.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-4", "two"])
     def test_bad_jobs_is_usage_error(self, capsys, jobs):
         code, out, err = run(capsys, "census", "--max-n", "8", "--jobs", jobs)

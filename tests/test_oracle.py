@@ -16,7 +16,8 @@ from gpcover.classify import involution_family
 from gpcover import oracle
 from gpcover.oracle import (
     SearchBoundExceeded,
-    _refine_cells,
+    _equitable,
+    _refine,
     automorphisms,
     canonical_form,
     is_isomorphic,
@@ -36,10 +37,56 @@ def nx_automorphisms(g):
     }
 
 
+def to_part(cells):
+    """The partition arrays [order, pos, start_of, size] of a cell list."""
+    order = [v for cell in cells for v in cell]
+    pos, start_of, size = [0] * len(order), [0] * len(order), [0] * len(order)
+    s = 0
+    for cell in cells:
+        size[s] = len(cell)
+        for p, v in enumerate(cell, s):
+            pos[v], start_of[v] = p, s
+        s += len(cell)
+    return [order, pos, start_of, size]
+
+
+def to_cells(part):
+    """The cell tuples of partition arrays, in order."""
+    order, _, _, size = part
+    return [tuple(order[s:s + size[s]]) for s in range(len(order)) if size[s]]
+
+
+def refine_part(g, cells, splitter=None):
+    """The arrays of the coarsest equitable refinement of cells, as the
+    searches compute it: every cell is queued, or with splitter only the cell
+    starting at that position."""
+    part = to_part(cells)
+    starts = [s for s, z in enumerate(part[3]) if z]
+    _refine(adjacency(g), part, starts if splitter is None else [splitter])
+    return part
+
+
 def refine(g, cells, splitter=None):
-    """The coarsest equitable refinement of cells, as the searches compute it;
-    with splitter, only the cell starting at that position is queued."""
-    return tuple(_refine_cells(adjacency(g), list(cells), splitter))
+    """The cells of refine_part(g, cells, splitter)."""
+    return tuple(to_cells(refine_part(g, cells, splitter)))
+
+
+def assert_consistent(part):
+    """size is non-zero exactly at the cell starts and sums to n, pos
+    inverts order, and start_of names each vertex's cell start."""
+    order, pos, start_of, size = part
+    n = len(order)
+    assert sorted(order) == list(range(n))
+    assert sum(size) == n
+    starts, s = [], 0
+    while s < n:
+        starts.append(s)
+        assert size[s] > 0
+        s += size[s]
+    assert [s for s, z in enumerate(size) if z] == starts
+    assert all(order[pos[v]] == v for v in range(n))
+    for s in starts:
+        assert all(start_of[v] == s for v in order[s:s + size[s]])
 
 
 def reference_refine(g, cells):
@@ -181,6 +228,10 @@ class TestRefine:
             assert [set(cell) for cell in refine(relabeled(g, perm), moved, start)] == [
                 {perm[v] for v in cell} for cell in refine(g, cells, start)
             ], (g, cells, start)
+
+    def test_partition_arrays_stay_consistent(self):
+        for g, cells, start in refinement_cases():
+            assert_consistent(refine_part(g, cells, start))
 
     def test_never_merges(self):
         g = gp(GpParams(5, 2))
@@ -328,6 +379,19 @@ class TestKroneckerInvolutions:
     def test_involution_colors_must_fit(self):
         with pytest.raises(ValueError, match="involution_colors"):
             automorphisms(gp(GpParams(4, 1)), involution_colors=[0, 1])
+
+    @pytest.mark.parametrize("bad,named", [
+        (2, r"involution_colors\[3\] is 2, not 0 or 1"),
+        ("1", r"involution_colors\[3\] is '1', not 0 or 1"),
+    ])
+    def test_involution_colors_must_be_sides(self, bad, named):
+        # GP(6,1) is bipartite; one side value out of {0, 1} is named, not
+        # read as a side that no image can have.
+        colors = bipartition(gp(GpParams(6, 1)))
+        colors[3] = bad
+        colors[7] = 5
+        with pytest.raises(ValueError, match=named):
+            automorphisms(gp(GpParams(6, 1)), involution_colors=colors)
 
 
 class TestCanonicalForm:
@@ -521,12 +585,12 @@ def leaf_certificates(g):
     """Every leaf certificate (shapes along the path, relabeled sorted edges)
     of the whole individualization-refinement tree, with nothing pruned."""
     adj = adjacency(g)
-    stack = [[_refine_cells(adj, [tuple(range(g.vertex_count))])]]
+    stack = [[to_cells(_equitable(adj))]]
     while stack:
         path = stack.pop()
         cells = path[-1]
         open_cells = [i for i, cell in enumerate(cells) if len(cell) > 1]
-        if not open_cells or oracle._homogeneous(adj, cells):
+        if not open_cells or oracle._homogeneous(adj, to_part(cells)):
             label = {v: p for p, v in enumerate(v for cell in cells for v in cell)}
             edges = tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in g.edges))
             yield tuple(tuple(map(len, c)) for c in path), edges
@@ -535,7 +599,7 @@ def leaf_certificates(g):
         start = sum(len(cell) for cell in cells[:t])
         for v in cells[t]:
             child = cells[:t] + [(v,), tuple(x for x in cells[t] if x != v)] + cells[t + 1:]
-            stack.append(path + [_refine_cells(adj, child, start)])
+            stack.append(path + [to_cells(refine_part(g, child, start))])
 
 
 def least_certificate_edges(g):
@@ -601,7 +665,7 @@ class TestCanonicalFormSoundness:
         plain, twisted = cfi_graph(base, False), cfi_graph(base, True)
         # Both are cubic, so refinement of the unit partition splits nothing.
         for g in (plain, twisted):
-            assert len(_refine_cells(adjacency(g), [tuple(range(g.vertex_count))])) == 1
+            assert len(to_cells(_equitable(adjacency(g)))) == 1
         assert canonical_form(plain) != canonical_form(twisted)
         rng = random.Random(plain.vertex_count)
         for g in (plain, twisted):
@@ -664,6 +728,36 @@ class TestCanonicalFormSoundness:
                 prefix.append(node.done[0])
         assert joined > 0
 
+    def test_search_leaves_every_node_partition_unchanged(self, monkeypatch):
+        # A child copies its parent's arrays before refining them, so each
+        # node keeps its partition and the search reads the same one at
+        # every visit.  Checked after every child, so a shared partition
+        # fails at once instead of sending the search astray.
+        class Recorded(oracle._Node):
+            __slots__ = ("snapshot",)
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                assert_consistent(self.part)
+                self.snapshot = [a[:] for a in self.part]
+
+        next_child = oracle._next_child
+        children = []
+
+        def checked(adj, node, bound):
+            found = next_child(adj, node, bound)
+            assert node.part == node.snapshot
+            children.append(found)
+            return found
+
+        monkeypatch.setattr(oracle, "_Node", Recorded)
+        monkeypatch.setattr(oracle, "_next_child", checked)
+        for g in (gp(GpParams(10, 3)), gp(GpParams(24, 5)), latin_square_graph(5, 1),
+                  cfi_graph(nx.complete_graph(4), True)):
+            children.clear()
+            oracle._canonical_edges(g)
+            assert sum(found is not None for found in children) > 1, g
+
     def test_refine_calls_stay_under_the_root_pruned_search(self, monkeypatch):
         # A search that prunes by automorphisms at the root only takes 10
         # refinement calls on every GP(n,k) with n <= 60 but these.
@@ -671,13 +765,13 @@ class TestCanonicalFormSoundness:
                        (10, 3): 45, (12, 5): 19, (24, 5): 19}
         ceiling = {**root_pruned, (5, 2): 15, (10, 3): 15}
         calls = []
-        refine_cells = oracle._refine_cells
+        refine_in_place = oracle._refine
 
         def counted(*args):
             calls.append(args)
-            return refine_cells(*args)
+            return refine_in_place(*args)
 
-        monkeypatch.setattr(oracle, "_refine_cells", counted)
+        monkeypatch.setattr(oracle, "_refine", counted)
         for n in range(3, 61):
             for k in range(1, (n - 1) // 2 + 1):
                 calls.clear()
