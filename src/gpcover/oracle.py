@@ -8,7 +8,11 @@ leaf certificate of the individualization-refinement tree.  That search
 prunes only subtrees that provably hold no smaller certificate, by three
 rules of McKay & Piperno (2014): automorphism backjumps, stabilizer orbits
 along the first path, and a node invariant (the cell sizes along the path)
-compared with the best leaf's.
+compared with the best leaf's.  Least certificates of connected graphs are
+kept by graph value.  An isomorphism test takes the second graph's from
+there and walks the first graph's tree toward it, stopping at the first leaf
+that meets it or at the first leaf or node that falls below it; the same
+walk uncut is the canonical-form search, so there is one search engine.
 
 A partition has one format throughout: the arrays [order, pos, start_of,
 size], in which each cell is a run of order named by its start position.
@@ -359,23 +363,23 @@ def _canonical_edges(g: Graph) -> tuple[tuple[int, int], ...]:
     from .graphs import connected_components
 
     comps = connected_components(g)
-    if len(comps) > 1:
-        pieces = []
-        for comp in comps:
-            idx = {v: i for i, v in enumerate(comp)}
-            sub = graph(
-                len(comp),
-                [(idx[u], idx[v]) for u, v in g.edges if u in idx],
-            )
-            pieces.append((len(comp), _canonical_edges_connected(sub)))
-        pieces.sort()
-        edges: list[tuple[int, int]] = []
-        offset = 0
-        for size, sub_edges in pieces:
-            edges.extend((u + offset, v + offset) for u, v in sub_edges)
-            offset += size
-        return tuple(sorted(edges))
-    return _canonical_edges_connected(g)
+    if len(comps) == 1:
+        return _least_certificate(g)[1]
+    pieces = []
+    for comp in comps:
+        idx = {v: i for i, v in enumerate(comp)}
+        sub = graph(
+            len(comp),
+            [(idx[u], idx[v]) for u, v in g.edges if u in idx],
+        )
+        pieces.append((len(comp), _least_certificate(sub)[1]))
+    pieces.sort()
+    edges: list[tuple[int, int]] = []
+    offset = 0
+    for size, sub_edges in pieces:
+        edges.extend((u + offset, v + offset) for u, v in sub_edges)
+        offset += size
+    return tuple(sorted(edges))
 
 
 class _Node:
@@ -467,9 +471,10 @@ def _next_child(adj, node: _Node, bound: Optional[list[int]]):
     return None
 
 
-def _canonical_edges_connected(g: Graph) -> tuple[tuple[int, int], ...]:
-    """The relabeled sorted edge tuple of the least leaf of the
-    individualization-refinement tree (McKay & Piperno 2014).
+def _canonical_search(g: Graph, target: Optional[tuple] = None):
+    """The least leaf certificate of the connected graph g's
+    individualization-refinement tree (McKay & Piperno 2014), or with a
+    ``target`` certificate whether some leaf's certificate equals it.
 
     A node is an equitable partition: the root is refined in full, and a
     child individualizes one vertex of the first smallest non-singleton cell
@@ -497,11 +502,18 @@ def _canonical_edges_connected(g: Graph) -> tuple[tuple[int, int], ...]:
       whose shape is greater than the best path's at that depth is skipped,
       and below a smaller one every leaf beats the best.
 
+    With a target the search walks the same tree in the same order and
+    stops at its answer.  A leaf equal to the target answers True: the two
+    relabeled edge tuples are equal, so the graphs are isomorphic.  A leaf
+    below the target, or a node whose path shapes fall below the target's,
+    answers False, because g's least certificate is then the smaller.  A
+    walk that ends without an answer reached g's least certificate and found
+    it above the target, so it answers False too, after at most one full
+    search.
+
     The search keeps its own stack and builds no closures, so it leaves no
     reference cycles behind."""
     n = g.vertex_count
-    if not n:
-        return ()
     adj = adjacency(g)
     part = _equitable(adj)
     tied = True
@@ -519,6 +531,8 @@ def _canonical_edges_connected(g: Graph) -> tuple[tuple[int, int], ...]:
             nodes.append(_Node(part, min(open_cells)[1], tied, orbits))
         else:
             cert = (tuple(shapes), _relabeled_edges(g, pos))
+            if target is not None and cert <= target:
+                return cert == target
             back = len(path) - 1  # the depth to resume at
             if first is None:
                 first = best = (cert, order, path[:])
@@ -561,15 +575,19 @@ def _canonical_edges_connected(g: Graph) -> tuple[tuple[int, int], ...]:
                 v, part, tied = found
                 path.append(v)
                 shapes.append(part[3])
+                if target is not None and tuple(shapes) < target[0][:d + 2]:
+                    return False  # every leaf below lies below the target
                 break
             nodes.pop()
         else:
-            return best[0][1]
+            return best[0] if target is None else False
 
 
 @lru_cache(maxsize=4096)
-def _canonical_form_cached(g: Graph) -> bytes:
-    return encode_graph6(graph(g.vertex_count, _canonical_edges(g))).encode("ascii")
+def _least_certificate(g: Graph) -> tuple:
+    """The least leaf certificate of the connected graph g, kept by graph
+    value so equal graphs built apart share one search."""
+    return _canonical_search(g)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -579,15 +597,27 @@ def canonical_form(g: Graph) -> bytes:
     module; they are not promised to stay the same across versions, since
     they follow the refinement's cell order."""
     check_bound(g.vertex_count)
-    return _canonical_form_cached(g)
+    return encode_graph6(graph(g.vertex_count, _canonical_edges(g))).encode("ascii")
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Whether g and h are isomorphic.
+
+    Connected graphs take h's least certificate from the memo and search g
+    only until a leaf meets it or falls below it; g's own certificate is not
+    kept.  Disconnected graphs compare canonical forms."""
+    from .graphs import is_connected
+
     if g.vertex_count != h.vertex_count or len(g.edges) != len(h.edges):
         return False
     if sorted(degrees(g)) != sorted(degrees(h)):
         return False
-    return canonical_form(g) == canonical_form(h)
+    check_bound(g.vertex_count)  # h has as many vertices
+    if g == h:
+        return True
+    if not (is_connected(g) and is_connected(h)):
+        return canonical_form(g) == canonical_form(h)
+    return _canonical_search(g, _least_certificate(h))
 
 
 def quotients_up_to_iso(g: Graph) -> list[Graph]:

@@ -127,7 +127,7 @@ def test_public_names_have_a_caller():
 MEMOIZED_AND_KEPT = {
     "oracle._kronecker_involutions_cached": "value-keyed on purpose: equal "
     "graphs built apart share one covering-involution search",
-    "oracle._canonical_form_cached": "value-keyed on purpose: equal graphs "
+    "oracle._least_certificate": "value-keyed on purpose: equal graphs "
     "built apart share one canonical-form search",
 }
 

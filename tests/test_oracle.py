@@ -8,7 +8,9 @@ import networkx as nx
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from gpcover.graphs import adjacency, bipartition, connected_components, degrees, graph
+from gpcover.graphs import (
+    adjacency, bipartition, connected_components, degrees, graph, is_connected,
+)
 from gpcover.families import GpParams, gp, h_graph
 from gpcover.covers import is_kronecker_involution, kronecker_cover, quotient
 from gpcover.perms import WordTriple, compose, from_triple, identity, inverse
@@ -716,7 +718,7 @@ class TestCanonicalFormSoundness:
             rng.shuffle(perm)
             g = relabeled(g, perm)
             created.clear()
-            oracle._canonical_edges(g)
+            oracle._canonical_search(g)
             group = automorphisms(g)
             prefix = []
             for node in [node for node in created if node.orbits is not None]:
@@ -755,7 +757,7 @@ class TestCanonicalFormSoundness:
         for g in (gp(GpParams(10, 3)), gp(GpParams(24, 5)), latin_square_graph(5, 1),
                   cfi_graph(nx.complete_graph(4), True)):
             children.clear()
-            oracle._canonical_edges(g)
+            oracle._canonical_search(g)
             assert sum(found is not None for found in children) > 1, g
 
     def test_refine_calls_stay_under_the_root_pruned_search(self, monkeypatch):
@@ -775,7 +777,7 @@ class TestCanonicalFormSoundness:
         for n in range(3, 61):
             for k in range(1, (n - 1) // 2 + 1):
                 calls.clear()
-                oracle._canonical_edges(gp(GpParams(n, k)))
+                oracle._canonical_search(gp(GpParams(n, k)))
                 assert len(calls) <= ceiling.get((n, k), 10), (n, k, len(calls))
 
     def test_search_leaves_no_cyclic_garbage(self):
@@ -795,6 +797,119 @@ class TestCanonicalFormSoundness:
                 assert gc.collect() == 0, g
         finally:
             gc.enable()
+
+
+def second_route_pairs():
+    """Every same-size pair among soundness_pool(), every GP(n,k) with
+    n <= 20, and one relabeling of each of them."""
+    rng = random.Random(71)
+    base = soundness_pool() + [gp(GpParams(n, k)) for n in range(3, 21)
+                               for k in range(1, (n - 1) // 2 + 1)]
+    pool = list(base)
+    for g in base:
+        perm = list(range(g.vertex_count))
+        rng.shuffle(perm)
+        pool.append(relabeled(g, perm))
+    return [(g, h) for i, g in enumerate(pool) for h in pool[i + 1:]
+            if g.vertex_count == h.vertex_count]
+
+
+class TestTargetedIsomorphism:
+    def test_agrees_with_canonical_forms_both_ways(self):
+        # The targeted search against two full searches, and against itself
+        # with the graphs swapped.
+        pairs = second_route_pairs()
+        assert len(pairs) == 5208
+        same = 0
+        for g, h in pairs:
+            verdict = is_isomorphic(g, h)
+            assert verdict == (canonical_form(g) == canonical_form(h)), (g, h)
+            assert verdict == is_isomorphic(h, g), (g, h)
+            same += verdict
+        assert 0 < same < len(pairs)
+
+    @staticmethod
+    def record_leaves(monkeypatch):
+        """The relabeled edges of every leaf the search reaches, in order."""
+        leaves = []
+        relabel = oracle._relabeled_edges
+
+        def recorded(g, pos):
+            leaves.append(relabel(g, pos))
+            return leaves[-1]
+
+        monkeypatch.setattr(oracle, "_relabeled_edges", recorded)
+        return leaves
+
+    def test_targeted_search_is_the_full_search_cut_short(self, monkeypatch):
+        # Up to its answer the targeted search walks the full search's
+        # leaves in the same order; it answers True at the first leaf that
+        # meets the target, which the full search reaches exactly when the
+        # graphs are isomorphic.
+        leaves = self.record_leaves(monkeypatch)
+        stopped_early = {True: 0, False: 0}
+        for g, h in second_route_pairs():
+            searched = is_connected(g) and is_connected(h)
+            if not searched or sorted(degrees(g)) != sorted(degrees(h)):
+                continue
+            target = oracle._least_certificate(h)
+            leaves.clear()
+            oracle._canonical_search(g)
+            full = leaves[:]
+            leaves.clear()
+            verdict = oracle._canonical_search(g, target)
+            assert leaves == full[:len(leaves)], (g, h)
+            assert verdict == (target[1] in full), (g, h)
+            if verdict:
+                assert len(leaves) == full.index(target[1]) + 1, (g, h)
+            stopped_early[verdict] += len(leaves) < len(full)
+        assert stopped_early[True] and stopped_early[False], stopped_early
+
+    def test_meets_the_target_at_the_first_leaf(self, monkeypatch):
+        h = gp(GpParams(40, 7))
+        target = oracle._least_certificate(h)
+        perm = list(range(80))
+        random.Random(1).shuffle(perm)
+        g = relabeled(h, perm)
+        leaves = self.record_leaves(monkeypatch)
+        assert is_isomorphic(g, h)
+        assert leaves == [target[1]]
+        leaves.clear()
+        oracle._canonical_search(g)
+        assert len(leaves) > 1
+
+    @pytest.mark.parametrize("n,k,l,leaves_seen", [(40, 2, 4, 0), (24, 1, 7, 1)],
+                             ids=["at-a-node", "at-a-leaf"])
+    def test_falls_below_the_target_before_the_search_ends(self, monkeypatch, n, k, l,
+                                                           leaves_seen):
+        # Not isomorphic, and g's least certificate is the smaller one: the
+        # first child of GP(40,2)'s root already has a smaller shape than the
+        # target's, and GP(24,1)'s first leaf is already below the target.
+        g, h = gp(GpParams(n, k)), gp(GpParams(n, l))
+        target = oracle._least_certificate(h)
+        assert oracle._least_certificate(g) < target
+        leaves = self.record_leaves(monkeypatch)
+        calls = []
+        refine_in_place = oracle._refine
+
+        def counted(*args):
+            calls.append(args)
+            return refine_in_place(*args)
+
+        monkeypatch.setattr(oracle, "_refine", counted)
+        assert oracle._canonical_search(g, target) is False
+        assert len(leaves) == leaves_seen
+        targeted = len(calls)
+        calls.clear()
+        oracle._canonical_search(g)
+        assert targeted < len(calls), (targeted, len(calls))
+
+    def test_equal_graphs_answer_without_a_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched equal graphs")
+
+        monkeypatch.setattr(oracle, "_canonical_search", no_search)
+        assert is_isomorphic(gp(GpParams(40, 7)), gp(GpParams(40, 7)))
 
 
 class TestQuotientClasses:
@@ -841,26 +956,29 @@ class TestOracleMemos:
         # The oracle memos are keyed by graph value, so a graph equal to one
         # searched before reuses its result even when it was built apart.
         # Memos kept on each instance instead ran 106 canonical-form
-        # searches on this sweep.
+        # searches on this sweep.  is_isomorphic searches its first graph
+        # toward the second's certificate and keeps nothing; with both
+        # graphs canonicalized in full the sweep ran 84 full searches.
         from gpcover.census import verify
 
-        calls = {"_canonical_edges": 0, "automorphisms": 0}
+        calls = {"full": 0, "targeted": 0, "automorphisms": 0}
+        search, enumerate_group = oracle._canonical_search, oracle.automorphisms
 
-        def counting(name):
-            search = getattr(oracle, name)
+        def counted_search(g, target=None):
+            calls["full" if target is None else "targeted"] += 1
+            return search(g, target)
 
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return search(*args, **kwargs)
+        def counted_automorphisms(*args, **kwargs):
+            calls["automorphisms"] += 1
+            return enumerate_group(*args, **kwargs)
 
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(oracle, name, counting(name))
-        oracle._canonical_form_cached.cache_clear()
+        monkeypatch.setattr(oracle, "_canonical_search", counted_search)
+        monkeypatch.setattr(oracle, "automorphisms", counted_automorphisms)
+        oracle._least_certificate.cache_clear()
         oracle._kronecker_involutions_cached.cache_clear()
         assert verify(22).all_passed
-        assert calls["_canonical_edges"] <= 84, calls
+        assert calls["full"] <= 60, calls
+        assert calls["targeted"] <= 27, calls
         assert calls["automorphisms"] <= 30, calls
 
 
@@ -876,6 +994,10 @@ class TestVertexBound:
         message = str(exc.value)
         assert "122 vertices" in message and "bound is 120" in message
         assert "GPCOVER_ORACLE_BOUND" in message
+
+    def test_equal_graphs_past_the_bound_are_refused(self):
+        with pytest.raises(SearchBoundExceeded, match="122 vertices"):
+            is_isomorphic(gp(GpParams(61, 1)), gp(GpParams(61, 1)))
 
     def test_env_raises_the_bound_for_every_search(self, monkeypatch):
         # The quotient search reaches canonical_form and automorphisms
