@@ -3,8 +3,8 @@ isomorphism testing, and exhaustive covering-involution search.
 
 Everything here is exact.  Searches are guided by equitable partition
 refinement (1-dimensional color refinement) but never trust it alone:
-automorphisms come from full backtracking, and a canonical form is the least
-leaf certificate of the individualization-refinement tree.  That search
+automorphisms come from backtracking that checks every edge, and a canonical
+form is the least leaf certificate of the individualization-refinement tree.  That search
 prunes only subtrees that provably hold no smaller certificate, by three
 rules of McKay & Piperno (2014): automorphism backjumps, stabilizer orbits
 along the first path, and a node invariant (the cell sizes along the path)
@@ -26,7 +26,12 @@ Every choice the refinement makes depends on cell positions and neighbor
 counts, never on vertex names, so the sequence of cells commutes with
 relabeling, which the canonical form relies on.
 
-Covering involutions come from the same backtracking engine in a pruned
+One backtracking loop finds automorphisms, under a partition on each side
+that every image must respect.  The full group is enumerated as cosets of
+the first vertex's stabilizer: one search for the stabilizer, and one
+individualization and refinement per image of that vertex not yet decided
+by the automorphisms found so far, each followed by a search that stops at
+its first leaf.  Covering involutions come from the same loop in a pruned
 mode that applies the involution clauses at every node, so it never
 enumerates the rest of the group; each result still passes the clause
 checker in ``covers``.  Enumerating the whole group and filtering it is the
@@ -215,61 +220,84 @@ def _equitable(adj: Sequence[Sequence[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # Automorphism enumeration.
 
-def automorphisms(
-    g: Graph, *, involution_colors: Optional[Sequence[int]] = None
-) -> list[Perm]:
-    """The full automorphism group, or with ``involution_colors`` only its
-    covering-involution candidates, lexicographically sorted.
+def _individualized(adj: Sequence[Sequence[int]], part: list[list[int]], v: int) -> list[list[int]]:
+    """A copy of the equitable partition part in which v moves to the front
+    of its cell, which must not be a singleton, as a singleton cell of its
+    own, refined from that singleton."""
+    child = [a[:] for a in part]
+    order, pos, start_of, size = child
+    s = start_of[v]
+    rest = [x for x in order[s:s + size[s]] if x != v]
+    order[s] = v
+    pos[v] = s
+    for p, x in enumerate(rest, s + 1):
+        order[p] = x
+        pos[x] = p
+        start_of[x] = s + 1
+    size[s] = 1
+    size[s + 1] = len(rest)
+    _refine(adj, child, [s])
+    return child
 
-    Backtracking over a BFS vertex order: each candidate image must respect
-    the stable coloring and have, among already-used images, exactly the
-    images of the already-mapped neighbors.  That bitmask equality enforces
-    edge and non-edge consistency simultaneously, so leaves are exactly the
-    automorphisms.  The search keeps its own stack, so its depth is not
-    limited by Python's recursion limit.
 
-    ``involution_colors`` gives a 0/1 side per vertex, such as
-    ``bipartition(g)``.  The candidates are the automorphisms that are
-    involutions, send every vertex to the other side, and map no vertex to
-    itself or to a neighbor.  These constraints prune every node: an image
-    must lie on the other side and outside the vertex's neighborhood, and
-    choosing u -> x also fixes x -> u.  Because the partial map is then an
-    involution on the mapped vertices, the bitmask test for u covers x's
+def _find(uf: list[int], x: int) -> int:
+    while uf[x] != x:
+        uf[x] = uf[uf[x]]
+        x = uf[x]
+    return x
+
+
+def _join(uf: list[int], gamma: Sequence[int]) -> None:
+    """Merge the union-find uf's classes along the permutation gamma."""
+    for x, y in enumerate(gamma):
+        if x != y:
+            rx, ry = _find(uf, x), _find(uf, y)
+            if rx != ry:
+                uf[rx] = ry
+
+
+def _backtrack(adj, masks, domain, image, sides, first_only) -> list[Perm]:
+    """The automorphisms that map the cells of the partition domain onto the
+    cells of the partition image at the same starts; with first_only the
+    first one found, or none.
+
+    Backtracking over a BFS vertex order, component by component from vertex
+    0: each candidate image of u must lie in the image cell that starts at
+    u's domain cell start, be unused, and have, among already-used images,
+    exactly the images of u's already-mapped neighbors.  That bitmask
+    equality enforces edge and non-edge consistency simultaneously, so leaves
+    are exactly the automorphisms.  A component root takes its candidates
+    from that image cell, any other vertex from the neighbors of its pivot,
+    an earlier neighbor, under the map.  A singleton image cell thus fixes a
+    root's image.
+
+    With sides (a 0/1 side per vertex; domain and image must then be one
+    partition) only the covering-involution candidates are leaves: an image
+    must also lie on the other side and outside the vertex's neighborhood,
+    and choosing u -> x also fixes x -> u.  Because the partial map is then
+    an involution on the mapped vertices, the bitmask test for u covers x's
     edges as well, so a vertex fixed as a partner is skipped at its BFS turn
     instead of branched on.
-    """
-    n = g.vertex_count
-    check_bound(n)
-    if n == 0:
-        return [()]
-    adj = adjacency(g)
-    masks = adjacency_masks(g)
-    order, _, color, size = _equitable(adj)  # a vertex's colour is its cell's start
 
-    pairs = involution_colors is not None
+    The search keeps its own stack, so its depth is not limited by Python's
+    recursion limit."""
+    n = len(adj)
+    start = domain[2]
+    cells, _, have, cell_size = image
+    want = start
+    pairs = sides is not None
     if pairs:
-        if len(involution_colors) != n:
-            raise ValueError("involution_colors does not fit the graph")
-        for v, side in enumerate(involution_colors):
-            if side not in (0, 1):
-                raise ValueError(f"involution_colors[{v}] is {side!r}, not 0 or 1")
         # An image keeps the refinement cell and flips the side.
-        have = [2 * color[v] + involution_colors[v] for v in range(n)]
-        want = [2 * color[v] + 1 - involution_colors[v] for v in range(n)]
-    else:
-        have = want = color
-    # bit[mapping[w]] is 0 while w is unmapped (mapping[w] == -1).
-    bit = [1 << v for v in range(n)] + [0]
-
-    # BFS order so every non-root vertex has an earlier neighbor.
+        have = [2 * have[v] + sides[v] for v in range(n)]
+        want = [2 * start[v] + 1 - sides[v] for v in range(n)]
     pos = [-1] * n
     bfs_order: list[int] = []
-    for start in range(n):
-        if pos[start] != -1:
+    for root in range(n):
+        if pos[root] != -1:
             continue
-        pos[start] = len(bfs_order)
-        bfs_order.append(start)
-        queue = deque([start])
+        pos[root] = len(bfs_order)
+        bfs_order.append(root)
+        queue = deque([root])
         while queue:
             u = queue.popleft()
             for w in adj[u]:
@@ -285,6 +313,8 @@ def automorphisms(
     mapped_nbrs = [
         [w for w in adj[u] if pairs or pos[w] < t] for t, u in enumerate(bfs_order)
     ]
+    # bit[mapping[w]] is 0 while w is unmapped (mapping[w] == -1).
+    bit = [1 << v for v in range(n)] + [0]
 
     results: list[Perm] = []
     mapping = [-1] * n
@@ -299,6 +329,8 @@ def automorphisms(
         images = untried[t]
         if t == n:
             results.append(tuple(mapping))
+            if first_only:
+                return results
         else:
             u = bfs_order[t]
             req = 0
@@ -306,8 +338,8 @@ def automorphisms(
                 req |= bit[mapping[w]]
             blocked = used | masks[u] if pairs else used
             wu = want[u]
-            s = color[u]
-            for x in order[s:s + size[s]] if pivot[t] < 0 else adj[mapping[pivot[t]]]:
+            s = start[u]
+            for x in cells[s:s + cell_size[s]] if pivot[t] < 0 else adj[mapping[pivot[t]]]:
                 if not blocked & bit[x] and have[x] == wu and masks[x] & used == req:
                     images.append(x)
         # Back up to the deepest branching depth with an image left.  A
@@ -315,7 +347,7 @@ def automorphisms(
         while not images:
             t -= 1
             if t < 0:
-                return sorted(results)
+                return results
             u = bfs_order[t]
             x = mapping[u]
             if pairs:
@@ -333,6 +365,91 @@ def automorphisms(
             mapping[x] = u
             used |= bit[u]
         t += 1
+
+
+def automorphisms(
+    g: Graph, *, involution_colors: Optional[Sequence[int]] = None
+) -> list[Perm]:
+    """The full automorphism group, or with ``involution_colors`` only its
+    covering-involution candidates, lexicographically sorted.
+
+    Both modes run one backtracking search, :func:`_backtrack`, over a BFS
+    vertex order in which every image must respect an equitable partition.
+
+    The full group is enumerated as cosets of the stabilizer of r = 0, the
+    first vertex in the search's BFS order: Aut(g) is the union of
+    t_x Stab(r) over the orbit of r, where t_x is any automorphism sending r
+    to x (McKay & Piperno 2014).  r is individualized in a copy of the
+    coarsest equitable partition and refined; every automorphism fixing r
+    maps that partition onto itself, so Stab(r) is the search with it on
+    both sides.  Each other x in r's cell of the coarsest partition is
+    skipped if the automorphisms found so far already join it to r's orbit,
+    or to a vertex rejected before.  Otherwise x is individualized and
+    refined in the same way; an automorphism sending r to x maps r's
+    partition onto x's cell by cell, so x is rejected if the cell sizes
+    differ, and else one search for a first leaf decides it.  The orbit's
+    coset representatives are then products of the leaves found, along a
+    BFS of the orbit from r (a Schreier transversal).
+
+    ``involution_colors`` gives a 0/1 side per vertex, such as
+    ``bipartition(g)``.  The candidates are the automorphisms that are
+    involutions, send every vertex to the other side, and map no vertex to
+    itself or to a neighbor.  They come from one search over the coarsest
+    equitable partition that applies those clauses at every node, so the
+    rest of the group is never enumerated.
+    """
+    n = g.vertex_count
+    check_bound(n)
+    pairs = involution_colors is not None
+    if pairs:
+        if len(involution_colors) != n:
+            raise ValueError("involution_colors does not fit the graph")
+        for v, side in enumerate(involution_colors):
+            if side not in (0, 1):
+                raise ValueError(f"involution_colors[{v}] is {side!r}, not 0 or 1")
+    if n == 0:
+        return [()]
+    adj = adjacency(g)
+    masks = adjacency_masks(g)
+    root = _equitable(adj)
+    if pairs:
+        return sorted(_backtrack(adj, masks, root, root, involution_colors, False))
+
+    r = 0  # the first vertex in _backtrack's BFS order
+    s = root[2][r]
+    cell = root[0][s:s + root[3][s]]
+    fixed = _individualized(adj, root, r) if len(cell) > 1 else root
+    stabilizer = _backtrack(adj, masks, fixed, fixed, None, False)
+    orbits = list(range(n))
+    for h in stabilizer:
+        _join(orbits, h)
+    leaves: list[Perm] = []  # the first leaf of each root image that has one
+    rejected: list[int] = []
+    for x in cell:
+        rx = _find(orbits, x)
+        if rx == _find(orbits, r) or any(_find(orbits, y) == rx for y in rejected):
+            continue
+        part = _individualized(adj, root, x)
+        found = part[3] == fixed[3] and _backtrack(adj, masks, fixed, part, None, True)
+        if found:
+            leaves.append(found[0])
+            _join(orbits, found[0])
+        else:
+            rejected.append(x)
+
+    generators = stabilizer + leaves
+    transversal = {r: tuple(range(n))}
+    reached = [r]
+    for y in reached:
+        t = transversal[y]
+        for h in generators:
+            z = h[y]
+            if z not in transversal:
+                transversal[z] = tuple(map(h.__getitem__, t))  # h after t
+                reached.append(z)
+    return sorted(
+        tuple(map(t.__getitem__, h)) for t in transversal.values() for h in stabilizer
+    )
 
 
 @lru_cache(maxsize=512)
@@ -404,13 +521,6 @@ class _Node:
         self.orbits = orbits
 
 
-def _find(uf: list[int], x: int) -> int:
-    while uf[x] != x:
-        uf[x] = uf[uf[x]]
-        x = uf[x]
-    return x
-
-
 def _homogeneous(adj: Sequence[Sequence[int]], part: list[list[int]]) -> bool:
     """Whether edges depend on cell membership only: every cell is complete
     or empty inside and every pair of cells is joined completely or not at
@@ -445,25 +555,14 @@ def _next_child(adj, node: _Node, bound: Optional[list[int]]):
     vertex moves to the front of the target cell as a singleton, refined
     from that singleton.  ``bound`` is the best leaf's shape one level down
     when the path is tied with it, else None."""
-    s = node.start
     for v in node.untried:
         if node.orbits is not None:
             rv = _find(node.orbits, v)
             if any(_find(node.orbits, u) == rv for u in node.done):
                 continue
         node.done.append(v)
-        child = [a[:] for a in node.part]
-        order, pos, start_of, size = child
-        rest = [x for x in order[s:s + size[s]] if x != v]
-        order[s] = v
-        pos[v] = s
-        for p, x in enumerate(rest, s + 1):
-            order[p] = x
-            pos[x] = p
-            start_of[x] = s + 1
-        size[s] = 1
-        size[s + 1] = len(rest)
-        _refine(adj, child, [s])
+        child = _individualized(adj, node.part, v)
+        size = child[3]
         if bound is None:
             return v, child, node.tied
         if size <= bound:
@@ -546,12 +645,7 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
                 for d, node in enumerate(nodes):
                     if node.orbits is None or (d and gamma[first[2][d - 1]] != first[2][d - 1]):
                         break
-                    uf = node.orbits
-                    for x, y in enumerate(gamma):
-                        if x != y:
-                            rx, ry = _find(uf, x), _find(uf, y)
-                            if rx != ry:
-                                uf[rx] = ry
+                    _join(node.orbits, gamma)
                 back = 0
                 while path[back] == ref_path[back]:
                     back += 1

@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import sys
+from collections import deque
 from itertools import combinations
 
 import networkx as nx
@@ -9,11 +10,14 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from gpcover.graphs import (
-    adjacency, bipartition, connected_components, degrees, graph, is_connected,
+    adjacency, adjacency_masks, bipartition, connected_components, degrees, graph,
+    is_connected,
 )
 from gpcover.families import GpParams, gp, h_graph
 from gpcover.covers import is_kronecker_involution, kronecker_cover, quotient
-from gpcover.perms import WordTriple, compose, from_triple, identity, inverse
+from gpcover.perms import (
+    WordTriple, compose, from_triple, identity, inverse, is_automorphism,
+)
 from gpcover.classify import involution_family
 from gpcover import oracle
 from gpcover.oracle import (
@@ -108,6 +112,70 @@ def reference_refine(g, cells):
         if len(new_cells) == len(cells):
             return cells
         cells = new_cells
+
+
+def reference_automorphisms(g):
+    """The second route: backtracking over a BFS vertex order in which each
+    image keeps the vertex's cell of the coarsest equitable partition and
+    has, among the images used so far, exactly the images of the vertex's
+    mapped neighbors.  The partition is refined at the root only, and every
+    leaf is kept."""
+    n = g.vertex_count
+    if n == 0:
+        return [()]
+    adj = adjacency(g)
+    masks = adjacency_masks(g)
+    cells = reference_refine(g, [tuple(range(n))])
+    color = [0] * n
+    for ci, cell in enumerate(cells):
+        for v in cell:
+            color[v] = ci
+    bit = [1 << v for v in range(n)] + [0]  # bit[-1] == 0: unmapped
+    pos = [-1] * n
+    bfs_order = []
+    for root in range(n):
+        if pos[root] != -1:
+            continue
+        pos[root] = len(bfs_order)
+        bfs_order.append(root)
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if pos[w] == -1:
+                    pos[w] = len(bfs_order)
+                    bfs_order.append(w)
+                    queue.append(w)
+    earlier = [[w for w in adj[u] if pos[w] < t] for t, u in enumerate(bfs_order)]
+    results = []
+    mapping = [-1] * n
+    used = 0
+    untried = [[] for _ in range(n + 1)]  # images left to try at each depth
+    t = 0
+    while True:
+        images = untried[t]
+        if t == n:
+            results.append(tuple(mapping))
+        else:
+            u = bfs_order[t]
+            req = 0
+            for w in earlier[t]:
+                req |= bit[mapping[w]]
+            for x in adj[mapping[earlier[t][0]]] if earlier[t] else cells[color[u]]:
+                if not used & bit[x] and color[x] == color[u] and masks[x] & used == req:
+                    images.append(x)
+        while not images:
+            t -= 1
+            if t < 0:
+                return sorted(results)
+            u = bfs_order[t]
+            used ^= bit[mapping[u]]
+            mapping[u] = -1
+            images = untried[t]
+        x = images.pop()
+        mapping[u] = x
+        used |= bit[x]
+        t += 1
 
 
 def is_equitable(g, cells):
@@ -293,6 +361,64 @@ class TestAutomorphisms:
         g = graph(4, [(0, 1), (2, 3)])
         assert len(automorphisms(g)) == 8  # swap within edges, swap edges
 
+    def test_tiny_graphs(self):
+        # A root cell of one vertex (the 1-vertex graph, the star's center)
+        # is not individualized; in graph(3, [(0, 1)]) the isolated vertex
+        # is a later component root whose image cell is a singleton.
+        assert automorphisms(graph(0, [])) == [()]
+        assert automorphisms(graph(1, [])) == [(0,)]
+        assert automorphisms(graph(2, [])) == [(0, 1), (1, 0)]
+        assert automorphisms(graph(3, [(0, 1)])) == [(0, 1, 2), (1, 0, 2)]
+        assert len(automorphisms(graph(4, [(0, 1), (0, 2), (0, 3)]))) == 6
+
+    def test_matches_the_whole_group_backtracking(self):
+        graphs = [gp(GpParams(n, k)) for n in range(3, 17) for k in range(1, (n - 1) // 2 + 1)]
+        graphs += [kronecker_cover(gp(GpParams(n, k)))
+                   for n in range(3, 9) for k in range(1, (n - 1) // 2 + 1)]
+        for g in graphs:
+            auts = automorphisms(g)
+            assert auts == reference_automorphisms(g), g
+            assert all(is_automorphism(g, p) for p in auts), g
+
+    @given(relabeled_small_graphs())
+    def test_matches_the_whole_group_backtracking_on_small_graphs(self, case):
+        # Disconnected graphs, isolated vertices and the 1-vertex graph.
+        g, perm = case
+        for h in (g, relabeled(g, perm)):
+            for x in (h, kronecker_cover(h)):
+                auts = automorphisms(x)
+                assert auts == reference_automorphisms(x)
+                assert all(is_automorphism(x, p) for p in auts)
+
+    @pytest.mark.parametrize("nk,order,refinements,searches", [
+        ((40, 7), 80, 4, 2),   # outer images found, inner rejected by shape
+        ((24, 7), 96, 4, 3),   # k^2 = 1 (mod n): one outer, one inner image
+        ((12, 5), 144, 3, 2),  # arc-transitive: the first image reaches all
+        ((10, 3), 240, 3, 2),
+    ])
+    def test_search_effort_stays_under_the_coset_enumeration(self, monkeypatch, nk, order,
+                                                             refinements, searches):
+        # One refinement for the coarsest partition, one for r and one per
+        # root image not yet decided by the group found so far; one search
+        # for Stab(r) and one per image whose cell sizes match r's.  Keeping
+        # every leaf of the whole group, GP(40,7) took 2.8 M search nodes.
+        calls = []
+        refine_in_place, backtrack = oracle._refine, oracle._backtrack
+        monkeypatch.setattr(oracle, "_refine",
+                            lambda *args: calls.append("refine") or refine_in_place(*args))
+        monkeypatch.setattr(oracle, "_backtrack",
+                            lambda *args: calls.append("search") or backtrack(*args))
+        assert len(automorphisms(gp(GpParams(*nk)))) == order
+        assert calls.count("refine") <= refinements and calls.count("search") <= searches
+
+    @pytest.mark.parametrize("n", [40, 59, 60])
+    def test_group_orders_at_the_full_oracle_bound(self, n):
+        # Frucht, Graver & Watkins (1971): 4n when k^2 = +-1 (mod n), else
+        # 2n; all seven exceptions have n <= 24.
+        for k in range(1, (n - 1) // 2 + 1):
+            expected = 4 * n if k * k % n in (1, n - 1) else 2 * n
+            assert len(automorphisms(gp(GpParams(n, k)))) == expected, (n, k)
+
     def test_bound_enforced(self, monkeypatch):
         monkeypatch.setenv("GPCOVER_ORACLE_BOUND", "10")
         g = gp(GpParams(10, 3))
@@ -335,7 +461,7 @@ class TestKroneckerInvolutions:
         assert all(is_kronecker_involution(g, p) for p in invs)
 
     def test_pruned_search_matches_filtered_group(self):
-        for n in range(3, 25):
+        for n in range(3, 33):
             for k in range(1, (n - 1) // 2 + 1):
                 g = gp(GpParams(n, k))
                 expected = [p for p in automorphisms(g) if is_kronecker_involution(g, p)]
@@ -381,6 +507,11 @@ class TestKroneckerInvolutions:
     def test_involution_colors_must_fit(self):
         with pytest.raises(ValueError, match="involution_colors"):
             automorphisms(gp(GpParams(4, 1)), involution_colors=[0, 1])
+
+    def test_involution_colors_are_checked_on_the_empty_graph(self):
+        with pytest.raises(ValueError, match="involution_colors"):
+            automorphisms(graph(0, []), involution_colors=[1, 0, 5])
+        assert automorphisms(graph(0, []), involution_colors=[]) == [()]
 
     @pytest.mark.parametrize("bad,named", [
         (2, r"involution_colors\[3\] is 2, not 0 or 1"),
