@@ -75,7 +75,7 @@ def _map(fn, keys, jobs: int) -> list:
 def _census_row(key: tuple[int, int], with_oracle: bool) -> CensusRow:
     n, k = key
     c = classify(GpParams(n, k))
-    involution = c.involution_words()
+    involution = ",".join(c.involution_words())
     quotient_label = ";".join(q.label() for q in c.quotients)
     notes = ""
     if c.case is Case.EXCEPTIONAL_8_3:

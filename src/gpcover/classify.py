@@ -155,10 +155,9 @@ class Classification:
     def covered(self) -> bool:
         return bool(self.quotients)
 
-    def involution_words(self, ascii_only: bool = False) -> str:
-        return ",".join(
-            format_word(q.via, ascii_only) for q in self.quotients if q.via is not None
-        )
+    def involution_words(self, ascii_only: bool = False) -> list[str]:
+        """The word of each quotient's involution, in quotient order."""
+        return [format_word(q.via, ascii_only) for q in self.quotients if q.via is not None]
 
 
 def classify(p: GpParams) -> Classification:

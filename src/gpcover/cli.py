@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .graphs import decode_graph6, encode_graph6, to_dot
 from .families import GpParams, gp
 from .classify import Case, QuotientDesc, classify, involution_family
-from .perms import desargues_half_turn, format_word, from_triple
+from .perms import desargues_half_turn, from_triple
 from .covers import kronecker_cover, quotient
 from .census import census, rows_to_csv, rows_to_json, verify
 
@@ -100,7 +100,7 @@ def _build_parser() -> _Parser:
 def _cmd_classify(args) -> int:
     c = classify(GpParams(args.n, args.k))
     labels = [q.label() for q in c.quotients]
-    words = [format_word(q.via, args.ascii) for q in c.quotients if q.via is not None]
+    words = c.involution_words(args.ascii)
     if args.json:
         print(json.dumps({"n": c.n, "k": c.k, "case": c.case.value,
                           "quotients": labels, "involutions": words}))

@@ -39,7 +39,7 @@ def kronecker_involution_failure(g: Graph, p: Sequence[int]) -> Optional[str]:
     """
     if len(p) != g.vertex_count or not is_permutation(p):
         return "not a vertex permutation of g"
-    components, colors = _search(g)
+    components, colors, _ = _search(g)
     if len(components) > 1:
         return "graph is not connected"
     if colors is None:

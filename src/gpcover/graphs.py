@@ -3,8 +3,8 @@
 Vertices are dense integers 0..vertex_count-1.  :func:`graph` builds every
 Graph from integer endpoints and stores the edges canonically (each pair
 ordered low-high, sorted by the key lo * n + hi), so two Graph values compare
-equal exactly when they are the same labelled graph.  Components and the
-2-coloring come from one search.  All operations are pure; share Graphs freely.
+equal exactly when they are the same labelled graph.  Components, the
+2-coloring and the breadth-first visit order come from one search.  All operations are pure; share Graphs freely.
 
 A Graph's derived data (its hash, adjacency lists and bitsets, and the
 component/2-coloring search) is computed on first use and kept on that
@@ -22,6 +22,7 @@ from operator import index
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 Edge = tuple[int, int]
+Vertices = tuple[int, ...]
 T = TypeVar("T")
 
 
@@ -77,11 +78,15 @@ def graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
     A loop always signals a broken construction upstream (e.g. a quotient by
     something that is not a covering involution), so it is a hard error,
     while duplicate edges can legitimately arise when two edges collapse
-    onto one and are silently merged.  Endpoints must be integers.  Edges
-    are sorted as the integer keys ``lo * n + hi``; only when one is bad are
-    they walked again, in input order, to name the first bad one.
+    onto one and are silently merged.  The vertex count and the endpoints
+    must be integers.  Edges are sorted as the integer keys ``lo * n + hi``;
+    only when one is bad are they walked again, in input order, to name the
+    first bad one.
     """
-    n = vertex_count
+    try:
+        n = index(vertex_count)
+    except TypeError:
+        raise ValueError(f"vertex count {vertex_count!r} is not an integer") from None
     edges = edges if isinstance(edges, (list, tuple)) else list(edges)  # may be walked twice
     try:
         keys = {u * n + v if -1 < u < v < n else v * n + u if -1 < v < u < n else -1
@@ -94,12 +99,12 @@ def graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop edge at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
             try:
                 lo, hi = sorted(map(index, (u, v)))
             except TypeError:
                 raise ValueError(f"edge ({u},{v}) has a non-integer endpoint") from None
+            if not (0 <= lo and hi < n):
+                raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
             keys.add(lo * n + hi)
     return Graph(n, tuple(map(divmod, sorted(keys), repeat(n))))
 
@@ -153,13 +158,16 @@ def bipartition(g: Graph) -> Optional[list[int]]:
 
 
 @_once_per_graph
-def _search(g: Graph) -> tuple[tuple[tuple[int, ...], ...], Optional[tuple[int, ...]]]:
-    """Components and 2-coloring (None if an edge joins two vertices of one
-    color) from one breadth-first search, shared by the three functions
-    above, so that the covering-involution checks search each graph once."""
+def _search(g: Graph) -> tuple[tuple[Vertices, ...], Optional[Vertices], Vertices]:
+    """Components, 2-coloring (None if an edge joins two vertices of one
+    color) and visit order of one breadth-first search from each least
+    unvisited vertex, shared by the three functions above and the oracle's
+    backtracking, so that the covering-involution checks search each graph
+    once.  The visit order is taken before each component is sorted."""
     adj = adjacency(g)
     color = [-1] * g.vertex_count
     comps = []
+    visits: list[int] = []
     odd = False
     for start in range(g.vertex_count):
         if color[start] >= 0:
@@ -175,9 +183,10 @@ def _search(g: Graph) -> tuple[tuple[tuple[int, ...], ...], Optional[tuple[int, 
                     comp.append(w)
                 elif cw == c:
                     odd = True
+        visits += comp
         comp.sort()
         comps.append(tuple(comp))
-    return tuple(comps), None if odd else tuple(color)
+    return tuple(comps), None if odd else tuple(color), tuple(visits)
 
 
 def girth(g: Graph) -> Optional[int]:

@@ -32,10 +32,11 @@ the first vertex's stabilizer: one search for the stabilizer, and one
 individualization and refinement per image of that vertex not yet decided
 by the automorphisms found so far, each followed by a search that stops at
 its first leaf.  Covering involutions come from the same loop in a pruned
-mode that applies the involution clauses at every node, so it never
-enumerates the rest of the group; each result still passes the clause
-checker in ``covers``.  Enumerating the whole group and filtering it is the
-independent route that the tests compare against.
+mode that applies the involution clauses at every node, with the graph's
+own 2-coloring as the sides, so it never enumerates the rest of the group;
+each result still passes the clause checker in ``covers`` and is kept on
+the graph.  Enumerating the whole group and filtering it is the independent
+route that the tests compare against.
 
 Every search refuses a graph with more vertices than :func:`vertex_bound`,
 which only ``GPCOVER_ORACLE_BOUND`` sets (default 120).  Sweeps call
@@ -48,7 +49,10 @@ from collections import deque
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .graphs import Graph, adjacency, adjacency_masks, degrees, encode_graph6, graph
+from .graphs import (
+    Graph, _once_per_graph, _search, adjacency, adjacency_masks, bipartition,
+    connected_components, degrees, encode_graph6, graph, is_connected,
+)
 from .covers import is_kronecker_involution, quotient
 from .perms import Perm
 
@@ -256,20 +260,21 @@ def _join(uf: list[int], gamma: Sequence[int]) -> None:
                 uf[rx] = ry
 
 
-def _backtrack(adj, masks, domain, image, sides, first_only) -> list[Perm]:
-    """The automorphisms that map the cells of the partition domain onto the
-    cells of the partition image at the same starts; with first_only the
+def _backtrack(g, domain, image, sides, first_only) -> list[Perm]:
+    """The automorphisms of g that map the cells of the partition domain onto
+    the cells of the partition image at the same starts; with first_only the
     first one found, or none.
 
-    Backtracking over a BFS vertex order, component by component from vertex
-    0: each candidate image of u must lie in the image cell that starts at
-    u's domain cell start, be unused, and have, among already-used images,
-    exactly the images of u's already-mapped neighbors.  That bitmask
-    equality enforces edge and non-edge consistency simultaneously, so leaves
-    are exactly the automorphisms.  A component root takes its candidates
-    from that image cell, any other vertex from the neighbors of its pivot,
-    an earlier neighbor, under the map.  A singleton image cell thus fixes a
-    root's image.
+    Backtracking over the visit order of g's breadth-first search in
+    ``graphs``, component by component from vertex 0: each candidate image
+    of u must lie in the image cell that starts at u's domain cell start, be
+    unused, and have, among already-used images, exactly the images of u's
+    already-mapped neighbors.  That bitmask equality enforces edge and
+    non-edge consistency simultaneously, so leaves are exactly the
+    automorphisms.  A component root takes its candidates from that image
+    cell, any other vertex from the neighbors of its pivot, an earlier
+    neighbor, under the map.  A singleton image cell thus fixes a root's
+    image.
 
     With sides (a 0/1 side per vertex; domain and image must then be one
     partition) only the covering-involution candidates are leaves: an image
@@ -281,7 +286,10 @@ def _backtrack(adj, masks, domain, image, sides, first_only) -> list[Perm]:
 
     The search keeps its own stack, so its depth is not limited by Python's
     recursion limit."""
-    n = len(adj)
+    adj = adjacency(g)
+    masks = adjacency_masks(g)
+    bfs_order = _search(g)[2]
+    n = len(bfs_order)
     start = domain[2]
     cells, _, have, cell_size = image
     want = start
@@ -290,21 +298,9 @@ def _backtrack(adj, masks, domain, image, sides, first_only) -> list[Perm]:
         # An image keeps the refinement cell and flips the side.
         have = [2 * have[v] + sides[v] for v in range(n)]
         want = [2 * start[v] + 1 - sides[v] for v in range(n)]
-    pos = [-1] * n
-    bfs_order: list[int] = []
-    for root in range(n):
-        if pos[root] != -1:
-            continue
-        pos[root] = len(bfs_order)
-        bfs_order.append(root)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if pos[w] == -1:
-                    pos[w] = len(bfs_order)
-                    bfs_order.append(w)
-                    queue.append(w)
+    pos = [0] * n
+    for t, u in enumerate(bfs_order):
+        pos[u] = t
     pivot = [
         next((w for w in adj[u] if pos[w] < pos[u]), -1) for u in bfs_order
     ]
@@ -367,13 +363,11 @@ def _backtrack(adj, masks, domain, image, sides, first_only) -> list[Perm]:
         t += 1
 
 
-def automorphisms(
-    g: Graph, *, involution_colors: Optional[Sequence[int]] = None
-) -> list[Perm]:
-    """The full automorphism group, or with ``involution_colors`` only its
+def automorphisms(g: Graph, *, involutions: bool = False) -> list[Perm]:
+    """The full automorphism group, or with ``involutions`` only its
     covering-involution candidates, lexicographically sorted.
 
-    Both modes run one backtracking search, :func:`_backtrack`, over a BFS
+    Both modes run one backtracking search, :func:`_backtrack`, over g's BFS
     vertex order in which every image must respect an equitable partition.
 
     The full group is enumerated as cosets of the stabilizer of r = 0, the
@@ -391,35 +385,31 @@ def automorphisms(
     coset representatives are then products of the leaves found, along a
     BFS of the orbit from r (a Schreier transversal).
 
-    ``involution_colors`` gives a 0/1 side per vertex, such as
-    ``bipartition(g)``.  The candidates are the automorphisms that are
-    involutions, send every vertex to the other side, and map no vertex to
-    itself or to a neighbor.  They come from one search over the coarsest
-    equitable partition that applies those clauses at every node, so the
-    rest of the group is never enumerated.
+    With ``involutions`` the sides are g's own 2-coloring,
+    ``bipartition(g)``, and a graph that has none has no candidates.  The
+    candidates are the automorphisms that are involutions, send every
+    vertex to the other side, and map no vertex to itself or to a neighbor.
+    They come from one search over the coarsest equitable partition that
+    applies those clauses at every node, so the rest of the group is never
+    enumerated.
     """
     n = g.vertex_count
     check_bound(n)
-    pairs = involution_colors is not None
-    if pairs:
-        if len(involution_colors) != n:
-            raise ValueError("involution_colors does not fit the graph")
-        for v, side in enumerate(involution_colors):
-            if side not in (0, 1):
-                raise ValueError(f"involution_colors[{v}] is {side!r}, not 0 or 1")
+    sides = bipartition(g) if involutions else None
+    if involutions and sides is None:
+        return []
     if n == 0:
         return [()]
     adj = adjacency(g)
-    masks = adjacency_masks(g)
     root = _equitable(adj)
-    if pairs:
-        return sorted(_backtrack(adj, masks, root, root, involution_colors, False))
+    if involutions:
+        return sorted(_backtrack(g, root, root, sides, False))
 
     r = 0  # the first vertex in _backtrack's BFS order
     s = root[2][r]
     cell = root[0][s:s + root[3][s]]
     fixed = _individualized(adj, root, r) if len(cell) > 1 else root
-    stabilizer = _backtrack(adj, masks, fixed, fixed, None, False)
+    stabilizer = _backtrack(g, fixed, fixed, None, False)
     orbits = list(range(n))
     for h in stabilizer:
         _join(orbits, h)
@@ -430,7 +420,7 @@ def automorphisms(
         if rx == _find(orbits, r) or any(_find(orbits, y) == rx for y in rejected):
             continue
         part = _individualized(adj, root, x)
-        found = part[3] == fixed[3] and _backtrack(adj, masks, fixed, part, None, True)
+        found = part[3] == fixed[3] and _backtrack(g, fixed, part, None, True)
         if found:
             leaves.append(found[0])
             _join(orbits, found[0])
@@ -452,21 +442,20 @@ def automorphisms(
     )
 
 
-@lru_cache(maxsize=512)
-def _kronecker_involutions_cached(g: Graph) -> tuple[Perm, ...]:
-    from .graphs import bipartition, is_connected
-
-    colors = bipartition(g) if g.vertex_count else None
-    if colors is None or not is_connected(g):
-        return ()
-    candidates = automorphisms(g, involution_colors=colors)
-    return tuple(p for p in candidates if is_kronecker_involution(g, p))
-
-
 def kronecker_involutions(g: Graph) -> list[Perm]:
-    """All covering involutions of g; empty unless g is connected bipartite."""
-    check_bound(g.vertex_count)
-    return list(_kronecker_involutions_cached(g))
+    """All covering involutions of g; empty unless g is connected bipartite.
+
+    The search runs once per Graph instance, and its result is kept on it."""
+    return list(_kronecker_involutions(g))
+
+
+@_once_per_graph
+def _kronecker_involutions(g: Graph) -> tuple[Perm, ...]:
+    components, colors, _ = _search(g)
+    if len(components) != 1 or colors is None:
+        return ()
+    candidates = automorphisms(g, involutions=True)
+    return tuple(p for p in candidates if is_kronecker_involution(g, p))
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +466,6 @@ def _canonical_edges(g: Graph) -> tuple[tuple[int, int], ...]:
 
     Disconnected graphs are canonicalized per component and reassembled in
     sorted (size, edges) order, which is itself relabeling-invariant."""
-    from .graphs import connected_components
-
     comps = connected_components(g)
     if len(comps) == 1:
         return _least_certificate(g)[1]
@@ -700,8 +687,6 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     Connected graphs take h's least certificate from the memo and search g
     only until a leaf meets it or falls below it; g's own certificate is not
     kept.  Disconnected graphs compare canonical forms."""
-    from .graphs import is_connected
-
     if g.vertex_count != h.vertex_count or len(g.edges) != len(h.edges):
         return False
     if sorted(degrees(g)) != sorted(degrees(h)):

@@ -89,7 +89,8 @@ class TestClassify:
         c = classify(GpParams(10, 3))
         assert c.case is Case.EXCEPTIONAL_10_3
         assert [q.label() for q in c.quotients] == ["GP(5,2)", "H"]
-        assert c.involution_words() == "α⁵,Δ"
+        assert c.involution_words() == ["α⁵", "Δ"]
+        assert c.involution_words(ascii_only=True) == ["a^5", "D"]
         assert c.covered is True
 
     def test_exceptional_8_3_delegates(self):

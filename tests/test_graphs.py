@@ -184,10 +184,19 @@ class TestConstruction:
         ([(0, 1), (2.0, 1)], "(2.0,1)"),
         ([(Fraction(1), 2)], "(1,2)"),
         ([(0, 1.5), (1, 1)], "(0,1.5)"),
+        # Endpoints that do not compare with integers at all.
+        ([(0, "1")], "(0,1)"),
+        ([(None, 1)], "(None,1)"),
+        ([(0, 1), (0, 2.5j)], "(0,2.5j)"),
     ])
     def test_non_integer_endpoint_rejected(self, edges, named):
         with pytest.raises(ValueError, match=re.escape(f"edge {named} has a non-integer endpoint")):
             graph(3, edges)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
+    def test_non_integer_vertex_count_rejected(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"vertex count {count!r} is not an integer")):
+            graph(count, [])
 
     def test_loop_before_non_integer_named_first(self):
         with pytest.raises(ValueError, match="loop edge at vertex 1"):
@@ -284,6 +293,28 @@ class TestSearchMatchesNetworkx:
             if colors is not None:
                 assert all(colors[u] != colors[v] for u, v in g.edges)
                 assert all(colors[c[0]] == 0 for c in comps)
+
+    def test_visit_order_is_a_breadth_first_search(self):
+        # The order the oracle's backtracking walks: a FIFO search from each
+        # least unvisited vertex, taking neighbors in ascending order.
+        rng = random.Random(37)
+        cases = [graph(0, []), graph(6, [(4, 5), (0, 3), (3, 5)]), gp(GpParams(12, 5)),
+                 kronecker_cover(gp(GpParams(7, 2))), *(random_graph(rng) for _ in range(40))]
+        for g in cases:
+            nbrs = [sorted({v for e in g.edges if u in e for v in e} - {u})
+                    for u in range(g.vertex_count)]
+            order = []
+            for root in range(g.vertex_count):
+                if root in order:
+                    continue
+                queue = deque([root])
+                order.append(root)
+                while queue:
+                    for w in nbrs[queue.popleft()]:
+                        if w not in order:
+                            order.append(w)
+                            queue.append(w)
+            assert _search(g)[2] == tuple(order)
 
     def test_workload_graphs(self):
         for n, k in [(402, 37), (420, 29)]:

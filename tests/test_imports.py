@@ -1,6 +1,7 @@
-"""Every module in src/gpcover imports only names it uses, defines only
-public names that something besides its own unit tests uses, and memoizes
-at module level only where a stated reason allows it.
+"""Every module in src/gpcover imports only names it uses, imports the
+package's modules in its header only, defines only public names that
+something besides its own unit tests uses, and memoizes at module level
+only where a stated reason allows it.
 
 No linter is installed, so these walk each module's syntax tree with the
 standard library only.  ``import a.b`` binds ``a`` and ``import a as b``
@@ -57,6 +58,51 @@ def test_detector_flags_an_unused_plain_import():
         "    return collections.abc.__name__ + system.platform\n"
     )
     assert unused_imports(source) == ["os", "osp"]
+
+
+def local_package_imports(source: str) -> list[str]:
+    """The function-local imports of a gpcover module, relative or absolute,
+    as "function:line".  A module's dependencies on the rest of the package
+    belong in its header, where a reader (and an import cycle) sees them."""
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if not node.level else ["gpcover"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "gpcover" for name in names):
+                found.setdefault(node.lineno, f"{fn.name}:{node.lineno}")
+    return list(found.values())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_modules_are_imported_in_the_header(path):
+    assert local_package_imports(path.read_text()) == []
+
+
+def test_detector_flags_function_local_package_imports():
+    source = (
+        "import json\n"
+        "from .graphs import graph\n"
+        "def f():\n"
+        "    from .graphs import bipartition, is_connected\n"
+        "    from . import oracle\n"
+        "    import os, gpcover.cli\n"
+        "    import collections\n"
+        "    from typing import Optional\n"
+        "    def g():\n"
+        "        from gpcover.oracle import automorphisms\n"
+        "    return json\n"
+        "class C:\n"
+        "    async def h(self):\n"
+        "        from ..gpcover import covers\n"
+    )
+    assert local_package_imports(source) == ["f:4", "f:5", "f:6", "f:10", "h:14"]
 
 
 # Public names kept without a caller, each for a stated reason.
@@ -125,8 +171,6 @@ def test_public_names_have_a_caller():
 # they hold alive, so a graph's derived data belongs on the graph instead.
 # Each memo kept is listed with its reason.
 MEMOIZED_AND_KEPT = {
-    "oracle._kronecker_involutions_cached": "value-keyed on purpose: equal "
-    "graphs built apart share one covering-involution search",
     "oracle._least_certificate": "value-keyed on purpose: equal graphs "
     "built apart share one canonical-form search",
 }

@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import sys
+import weakref
 from collections import deque
 from itertools import combinations
 
@@ -475,18 +476,18 @@ class TestKroneckerInvolutions:
                 expected = [p for p in automorphisms(x) if is_kronecker_involution(x, p)]
                 assert kronecker_involutions(x) == expected
 
-    @given(relabeled_small_graphs(), st.data())
-    def test_involution_mode_filters_the_group(self, case, data):
-        # Any 0/1 coloring, on graphs that may be disconnected and not
-        # bipartite, and the bipartition of a (often disconnected) cover.
+    @given(relabeled_small_graphs())
+    def test_involution_mode_filters_the_group(self, case):
+        # Graphs that may be disconnected and not bipartite, and their
+        # (often disconnected) covers; the sides are each graph's own.
         g, perm = case
-        n = g.vertex_count
-        sides = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-        cover = kronecker_cover(relabeled(g, perm))
-        for h, colors in ((g, sides), (cover, bipartition(cover))):
-            assert automorphisms(h, involution_colors=colors) == (
-                side_swapping_involutions(h, colors, automorphisms(h))
-            )
+        for h in (g, relabeled(g, perm)):
+            for x in (h, kronecker_cover(h)):
+                colors = bipartition(x)
+                expected = [] if colors is None else (
+                    side_swapping_involutions(x, colors, automorphisms(x))
+                )
+                assert automorphisms(x, involutions=True) == expected
 
     @pytest.mark.parametrize(
         "g",
@@ -495,36 +496,42 @@ class TestKroneckerInvolutions:
             gp(GpParams(12, 5)),
             gp(GpParams(14, 3)),
             graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
+            gp(GpParams(5, 2)),
         ],
-        ids=["GP(10,3)", "GP(12,5)", "GP(14,3)", "2C4"],
+        ids=["GP(10,3)", "GP(12,5)", "GP(14,3)", "2C4", "GP(5,2)"],
     )
     def test_involution_mode_matches_vf2_filter(self, g):
         colors = bipartition(g)
-        assert automorphisms(g, involution_colors=colors) == (
+        expected = [] if colors is None else (
             side_swapping_involutions(g, colors, nx_automorphisms(g))
         )
+        assert automorphisms(g, involutions=True) == expected
 
-    def test_involution_colors_must_fit(self):
-        with pytest.raises(ValueError, match="involution_colors"):
-            automorphisms(gp(GpParams(4, 1)), involution_colors=[0, 1])
+    def test_involution_mode_takes_the_sides_from_the_graph(self, monkeypatch):
+        # A graph without a 2-coloring is answered before any search; the
+        # empty graph's empty map is vacuously a candidate.
+        assert automorphisms(graph(0, []), involutions=True) == [()]
+        monkeypatch.setattr(oracle, "_backtrack", None)
+        for g in (graph(3, [(0, 1), (1, 2), (0, 2)]), gp(GpParams(5, 2)), gp(GpParams(9, 2))):
+            assert automorphisms(g, involutions=True) == []
 
-    def test_involution_colors_are_checked_on_the_empty_graph(self):
-        with pytest.raises(ValueError, match="involution_colors"):
-            automorphisms(graph(0, []), involution_colors=[1, 0, 5])
-        assert automorphisms(graph(0, []), involution_colors=[]) == [()]
-
-    @pytest.mark.parametrize("bad,named", [
-        (2, r"involution_colors\[3\] is 2, not 0 or 1"),
-        ("1", r"involution_colors\[3\] is '1', not 0 or 1"),
-    ])
-    def test_involution_colors_must_be_sides(self, bad, named):
-        # GP(6,1) is bipartite; one side value out of {0, 1} is named, not
-        # read as a side that no image can have.
-        colors = bipartition(gp(GpParams(6, 1)))
-        colors[3] = bad
-        colors[7] = 5
-        with pytest.raises(ValueError, match=named):
-            automorphisms(gp(GpParams(6, 1)), involution_colors=colors)
+    def test_search_is_kept_on_the_graph(self, monkeypatch):
+        # One search per Graph instance, as _compare asks twice for each
+        # (n,k); an equal graph built apart searches again; each answer is
+        # a fresh list; the result is freed with the graph.
+        calls = []
+        enumerate_group = oracle.automorphisms
+        monkeypatch.setattr(oracle, "automorphisms",
+                            lambda *a, **kw: calls.append(1) or enumerate_group(*a, **kw))
+        g = gp(GpParams(12, 5))
+        first = kronecker_involutions(g)
+        first.clear()
+        assert kronecker_involutions(g) is not kronecker_involutions(g)
+        assert len(kronecker_involutions(g)) == 3 and len(calls) == 1
+        assert len(kronecker_involutions(gp(GpParams(12, 5)))) == 3 and len(calls) == 2
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
 
 
 class TestCanonicalForm:
@@ -1084,12 +1091,14 @@ class TestQuotientClasses:
 
 class TestOracleMemos:
     def test_equal_graphs_built_apart_share_one_search(self, monkeypatch):
-        # The oracle memos are keyed by graph value, so a graph equal to one
-        # searched before reuses its result even when it was built apart.
-        # Memos kept on each instance instead ran 106 canonical-form
-        # searches on this sweep.  is_isomorphic searches its first graph
-        # toward the second's certificate and keeps nothing; with both
-        # graphs canonicalized in full the sweep ran 84 full searches.
+        # The least-certificate memo is keyed by graph value, so a graph
+        # equal to one searched before reuses its result even when it was
+        # built apart.  Memos kept on each instance instead ran 106
+        # canonical-form searches on this sweep.  is_isomorphic searches its
+        # first graph toward the second's certificate and keeps nothing; with
+        # both graphs canonicalized in full the sweep ran 84 full searches.
+        # The covering involutions are kept on each GP graph, which _compare
+        # asks twice: one search for each of the 30 bipartite (n,k).
         from gpcover.census import verify
 
         calls = {"full": 0, "targeted": 0, "automorphisms": 0}
@@ -1106,7 +1115,6 @@ class TestOracleMemos:
         monkeypatch.setattr(oracle, "_canonical_search", counted_search)
         monkeypatch.setattr(oracle, "automorphisms", counted_automorphisms)
         oracle._least_certificate.cache_clear()
-        oracle._kronecker_involutions_cached.cache_clear()
         assert verify(22).all_passed
         assert calls["full"] <= 60, calls
         assert calls["targeted"] <= 27, calls
