@@ -6,10 +6,10 @@ ordered low-high, sorted by the key lo * n + hi), so two Graph values compare
 equal exactly when they are the same labelled graph.  Components, the
 2-coloring and the breadth-first visit order come from one search.  All operations are pure; share Graphs freely.
 
-A Graph's derived data (its hash, adjacency lists and bitsets, and the
-component/2-coloring search) is computed on first use and kept on that
-instance, so it is freed together with the graph: no module-level cache holds
-a graph alive.
+A Graph's derived data (its adjacency lists and bitsets, the
+component/2-coloring search, and the oracle's search results) is computed on
+first use and kept on that instance, so it is freed together with the graph:
+no module-level cache holds a graph alive.
 """
 from __future__ import annotations
 
@@ -36,16 +36,21 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+        if _vertex_count(self.vertex_count) < 0:
             raise ValueError("vertex_count must be non-negative")
-
-    def __hash__(self) -> int:
-        return _hash(self)
 
     def __reduce__(self):
         # Pickle and copy the fields only: the derived data is rebuilt on
-        # demand, and a kept hash need not hold in another interpreter.
+        # demand.
         return Graph, (self.vertex_count, self.edges)
+
+
+def _vertex_count(vertex_count) -> int:
+    """vertex_count as an int, or ValueError naming it if it is none."""
+    try:
+        return index(vertex_count)
+    except TypeError:
+        raise ValueError(f"vertex count {vertex_count!r} is not an integer") from None
 
 
 def _once_per_graph(compute: Callable[[Graph], T]) -> Callable[[Graph], T]:
@@ -65,13 +70,6 @@ def _once_per_graph(compute: Callable[[Graph], T]) -> Callable[[Graph], T]:
     return get
 
 
-@_once_per_graph
-def _hash(g: Graph) -> int:
-    """The dataclass hash of the fields, computed once instead of over the
-    whole edge tuple at every lookup of a memo keyed by the graph."""
-    return hash((g.vertex_count, g.edges))
-
-
 def graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a canonical Graph; loops are errors, duplicates are dropped.
 
@@ -83,10 +81,7 @@ def graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
     only when one is bad are they walked again, in input order, to name the
     first bad one.
     """
-    try:
-        n = index(vertex_count)
-    except TypeError:
-        raise ValueError(f"vertex count {vertex_count!r} is not an integer") from None
+    n = _vertex_count(vertex_count)
     edges = edges if isinstance(edges, (list, tuple)) else list(edges)  # may be walked twice
     try:
         keys = {u * n + v if -1 < u < v < n else v * n + u if -1 < v < u < n else -1
@@ -102,7 +97,7 @@ def graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
             try:
                 lo, hi = sorted(map(index, (u, v)))
             except TypeError:
-                raise ValueError(f"edge ({u},{v}) has a non-integer endpoint") from None
+                raise ValueError(f"edge ({u!r},{v!r}) has a non-integer endpoint") from None
             if not (0 <= lo and hi < n):
                 raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
             keys.add(lo * n + hi)

@@ -8,11 +8,12 @@ form is the least leaf certificate of the individualization-refinement tree.  Th
 prunes only subtrees that provably hold no smaller certificate, by three
 rules of McKay & Piperno (2014): automorphism backjumps, stabilizer orbits
 along the first path, and a node invariant (the cell sizes along the path)
-compared with the best leaf's.  Least certificates of connected graphs are
-kept by graph value.  An isomorphism test takes the second graph's from
-there and walks the first graph's tree toward it, stopping at the first leaf
-that meets it or at the first leaf or node that falls below it; the same
-walk uncut is the canonical-form search, so there is one search engine.
+compared with the best leaf's.  The least certificate of a connected graph
+is kept on that graph, as its covering involutions are.  An isomorphism test
+takes the second graph's and walks the first graph's tree toward it,
+stopping at the first leaf that meets it or at the first leaf or node that
+falls below it; the same walk uncut is the canonical-form search, so there
+is one search engine.
 
 A partition has one format throughout: the arrays [order, pos, start_of,
 size], in which each cell is a run of order named by its start position.
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .graphs import (
@@ -461,21 +461,21 @@ def _kronecker_involutions(g: Graph) -> tuple[Perm, ...]:
 # ---------------------------------------------------------------------------
 # Canonical labeling.
 
+@_once_per_graph
 def _canonical_edges(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Edge list of the canonically relabeled graph.
+    """Edge list of the canonically relabeled graph, kept on g.
 
     Disconnected graphs are canonicalized per component and reassembled in
     sorted (size, edges) order, which is itself relabeling-invariant."""
     comps = connected_components(g)
     if len(comps) == 1:
         return _least_certificate(g)[1]
+    searched: dict[Graph, Graph] = {}  # each distinct subgraph, searched once
     pieces = []
     for comp in comps:
         idx = {v: i for i, v in enumerate(comp)}
-        sub = graph(
-            len(comp),
-            [(idx[u], idx[v]) for u, v in g.edges if u in idx],
-        )
+        sub = graph(len(comp), [(idx[u], idx[v]) for u, v in g.edges if u in idx])
+        sub = searched.setdefault(sub, sub)
         pieces.append((len(comp), _least_certificate(sub)[1]))
     pieces.sort()
     edges: list[tuple[int, int]] = []
@@ -664,10 +664,9 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
             return best[0] if target is None else False
 
 
-@lru_cache(maxsize=4096)
+@_once_per_graph
 def _least_certificate(g: Graph) -> tuple:
-    """The least leaf certificate of the connected graph g, kept by graph
-    value so equal graphs built apart share one search."""
+    """The least leaf certificate of the connected graph g, kept on g."""
     return _canonical_search(g)
 
 
@@ -684,9 +683,10 @@ def canonical_form(g: Graph) -> bytes:
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Whether g and h are isomorphic.
 
-    Connected graphs take h's least certificate from the memo and search g
+    Connected graphs take h's least certificate, kept on h, and search g
     only until a leaf meets it or falls below it; g's own certificate is not
-    kept.  Disconnected graphs compare canonical forms."""
+    kept.  A connected graph is not isomorphic to a disconnected one, and
+    two disconnected graphs compare canonical edge lists."""
     if g.vertex_count != h.vertex_count or len(g.edges) != len(h.edges):
         return False
     if sorted(degrees(g)) != sorted(degrees(h)):
@@ -694,8 +694,11 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     check_bound(g.vertex_count)  # h has as many vertices
     if g == h:
         return True
-    if not (is_connected(g) and is_connected(h)):
-        return canonical_form(g) == canonical_form(h)
+    connected = is_connected(g)
+    if connected != is_connected(h):
+        return False
+    if not connected:
+        return _canonical_edges(g) == _canonical_edges(h)
     return _canonical_search(g, _least_certificate(h))
 
 

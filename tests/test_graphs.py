@@ -182,10 +182,10 @@ class TestConstruction:
     @pytest.mark.parametrize("edges, named", [
         ([(0, 1.5)], "(0,1.5)"),
         ([(0, 1), (2.0, 1)], "(2.0,1)"),
-        ([(Fraction(1), 2)], "(1,2)"),
+        ([(Fraction(1), 2)], "(Fraction(1, 1),2)"),
         ([(0, 1.5), (1, 1)], "(0,1.5)"),
         # Endpoints that do not compare with integers at all.
-        ([(0, "1")], "(0,1)"),
+        ([(0, "1")], "(0,'1')"),
         ([(None, 1)], "(None,1)"),
         ([(0, 1), (0, 2.5j)], "(0,2.5j)"),
     ])
@@ -197,6 +197,13 @@ class TestConstruction:
     def test_non_integer_vertex_count_rejected(self, count):
         with pytest.raises(ValueError, match=re.escape(f"vertex count {count!r} is not an integer")):
             graph(count, [])
+
+    @pytest.mark.parametrize("count", [2.5, "3", None])
+    def test_hand_built_non_integer_vertex_count_rejected(self, count):
+        # A Graph built without graph() is checked the same way, before any
+        # search can meet the count.
+        with pytest.raises(ValueError, match=re.escape(f"vertex count {count!r} is not an integer")):
+            Graph(count, ())
 
     def test_loop_before_non_integer_named_first(self):
         with pytest.raises(ValueError, match="loop edge at vertex 1"):

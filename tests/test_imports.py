@@ -169,11 +169,6 @@ def test_public_names_have_a_caller():
 
 # Module-level memos (functools.lru_cache or functools.cache) keep every key
 # they hold alive, so a graph's derived data belongs on the graph instead.
-# Each memo kept is listed with its reason.
-MEMOIZED_AND_KEPT = {
-    "oracle._least_certificate": "value-keyed on purpose: equal graphs "
-    "built apart share one canonical-form search",
-}
 
 
 def memoized_functions(source: str) -> list[str]:
@@ -203,9 +198,18 @@ def memoized_functions(source: str) -> list[str]:
     return found
 
 
-def test_module_level_memos_are_allowlisted():
+def test_no_module_level_memos():
     found = [f"{p.stem}.{name}" for p in MODULES for name in memoized_functions(p.read_text())]
-    assert sorted(found) == sorted(MEMOIZED_AND_KEPT)
+    assert found == []
+    imported = [
+        f"{p.stem}: {alias.name}"
+        for p in MODULES
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in ("lru_cache", "cache")
+    ]
+    assert imported == []
 
 
 def test_detector_flags_every_memo_spelling():

@@ -231,6 +231,13 @@ def relabeled(g, perm):
     return graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def disjoint_union(g, copies):
+    """copies disjoint copies of g, the i-th on vertices offset by i * n."""
+    n = g.vertex_count
+    return graph(n * copies, [(u + i * n, v + i * n) for i in range(copies)
+                              for u, v in g.edges])
+
+
 def side_swapping_involutions(g, colors, autos):
     """The clauses of the pruned search, spelled out: involutions that move
     every vertex to the other side and to a non-neighbor."""
@@ -1042,6 +1049,17 @@ class TestTargetedIsomorphism:
         oracle._canonical_search(g)
         assert targeted < len(calls), (targeted, len(calls))
 
+    def test_connected_against_disconnected_answers_without_a_search(self, monkeypatch):
+        # GP(6,1) and three disjoint K4 are both cubic on 12 vertices.
+        def no_search(*args):
+            raise AssertionError("searched a connected and a disconnected graph")
+
+        monkeypatch.setattr(oracle, "_canonical_search", no_search)
+        prism = gp(GpParams(6, 1))
+        k4s = disjoint_union(graph(4, combinations(range(4), 2)), 3)
+        assert len(prism.edges) == len(k4s.edges) == 18
+        assert not is_isomorphic(prism, k4s) and not is_isomorphic(k4s, prism)
+
     def test_equal_graphs_answer_without_a_search(self, monkeypatch):
         def no_search(*args):
             raise AssertionError("searched equal graphs")
@@ -1090,13 +1108,11 @@ class TestQuotientClasses:
 
 
 class TestOracleMemos:
-    def test_equal_graphs_built_apart_share_one_search(self, monkeypatch):
-        # The least-certificate memo is keyed by graph value, so a graph
-        # equal to one searched before reuses its result even when it was
-        # built apart.  Memos kept on each instance instead ran 106
-        # canonical-form searches on this sweep.  is_isomorphic searches its
-        # first graph toward the second's certificate and keeps nothing; with
-        # both graphs canonicalized in full the sweep ran 84 full searches.
+    def test_verify_sweep_stays_under_its_search_counts(self, monkeypatch):
+        # Every search result is kept on the graph searched.  On this sweep
+        # that runs 60 full and 27 targeted canonical-form searches (on
+        # verify(40) 158/70, on verify(60) 352/149): is_isomorphic searches
+        # its first graph toward the second's certificate and keeps nothing.
         # The covering involutions are kept on each GP graph, which _compare
         # asks twice: one search for each of the 30 bipartite (n,k).
         from gpcover.census import verify
@@ -1114,11 +1130,38 @@ class TestOracleMemos:
 
         monkeypatch.setattr(oracle, "_canonical_search", counted_search)
         monkeypatch.setattr(oracle, "automorphisms", counted_automorphisms)
-        oracle._least_certificate.cache_clear()
         assert verify(22).all_passed
         assert calls["full"] <= 60, calls
         assert calls["targeted"] <= 27, calls
         assert calls["automorphisms"] <= 30, calls
+
+    def test_searched_graphs_die_with_their_last_reference(self):
+        # No module-level memo holds a searched graph; its results live on
+        # it and hold no reference cycle, so reference counting frees it.
+        g = gp(GpParams(12, 5))
+        perm = list(range(24))
+        random.Random(5).shuffle(perm)
+        h = relabeled(g, perm)
+        gc.disable()
+        try:
+            canonical_form(g)
+            assert is_isomorphic(g, h)
+            assert len(quotients_up_to_iso(g)) == 1
+            refs = [weakref.ref(g), weakref.ref(h)]
+            del g, h
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_equal_components_are_searched_once(self, monkeypatch):
+        calls = []
+        search = oracle._canonical_search
+        monkeypatch.setattr(oracle, "_canonical_search",
+                            lambda *a: calls.append(1) or search(*a))
+        g = disjoint_union(gp(GpParams(15, 4)), 4)
+        form = canonical_form(g)
+        assert len(calls) == 1
+        assert canonical_form(g) == form and len(calls) == 1
 
 
 class TestVertexBound:
