@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, graph
+from .graphs import Graph, _integer, graph
 
 
 @dataclass(frozen=True)
@@ -19,9 +19,9 @@ class GpParams:
     k: int
 
     def __post_init__(self) -> None:
-        if self.n < 3:
+        if _integer("n", self.n) < 3:
             raise ValueError(f"n must be at least 3, got {self.n}")
-        if self.k < 1:
+        if _integer("k", self.k) < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if 2 * self.k >= self.n:
             raise ValueError(f"k={self.k} violates k < n/2 for n={self.n}")
@@ -40,7 +40,7 @@ class LcfSpec:
     jumps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 3:
+        if _integer("n", self.n) < 3:
             raise ValueError(f"n must be at least 3, got {self.n}")
         if len(self.jumps) != self.n:
             raise ValueError(f"expected {self.n} jumps, got {len(self.jumps)}")

@@ -1,10 +1,10 @@
 """Simple undirected graphs as immutable values.
 
-Vertices are dense integers 0..vertex_count-1.  :func:`graph` builds every
-Graph from integer endpoints and stores the edges canonically (each pair
-ordered low-high, sorted by the key lo * n + hi), so two Graph values compare
-equal exactly when they are the same labelled graph.  Components, the
-2-coloring and the breadth-first visit order come from one search.  All operations are pure; share Graphs freely.
+Vertices are dense integers 0..vertex_count-1.  Every Graph is canonical
+however it was built (see :class:`Graph`), so two Graph values compare equal
+exactly when they are the same labelled graph.  Components, the 2-coloring
+and the breadth-first visit order come from one search.  All operations are
+pure; share Graphs freely.
 
 A Graph's derived data (its adjacency lists and bitsets, the
 component/2-coloring search, and the oracle's search results) is computed on
@@ -30,27 +30,58 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph6 input."""
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, or ValueError naming it if it is none."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Graph:
+    """A simple graph, canonical by construction: an int vertex count n >= 0
+    and int edges (lo, hi), 0 <= lo < hi < n, strictly increasing by
+    lo * n + hi, also after copy, pickle or ``dataclasses.replace``.
+
+    Duplicate edges are merged, since two edges may collapse onto one.  A
+    loop (a broken construction upstream, e.g. a quotient by a map that is
+    not a covering involution) and an out-of-range or non-integer endpoint
+    are ValueErrors naming the first bad edge in input order.
+    """
+
     vertex_count: int
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if _vertex_count(self.vertex_count) < 0:
+        n = _integer("vertex count", self.vertex_count)
+        edges = self.edges if isinstance(self.edges, (list, tuple)) else list(self.edges)
+        try:
+            keys = {u * n + v if -1 < u < v < n else v * n + u if -1 < v < u < n else -1
+                    for u, v in edges}
+        except (TypeError, ValueError):  # malformed edges: the walk re-raises
+            keys = {-1}
+        # A non-int endpoint (1.5, 2.0) makes its key, and so the sum, non-int.
+        if -1 in keys or type(sum(keys)) is not int:
+            keys = set()
+            for u, v in edges:
+                if u == v:
+                    raise ValueError(f"loop edge at vertex {u}")
+                try:
+                    lo, hi = sorted(map(index, (u, v)))
+                except TypeError:
+                    raise ValueError(f"edge ({u!r},{v!r}) has a non-integer endpoint") from None
+                if not (0 <= lo and hi < n):
+                    raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
+                keys.add(lo * n + hi)
+        if n < 0:
             raise ValueError("vertex_count must be non-negative")
+        object.__setattr__(self, "vertex_count", n)
+        object.__setattr__(self, "edges", tuple(map(divmod, sorted(keys), repeat(n))))
 
     def __reduce__(self):
-        # Pickle and copy the fields only: the derived data is rebuilt on
-        # demand.
+        # Pickle and copy the fields only; derived data is rebuilt on demand.
         return Graph, (self.vertex_count, self.edges)
-
-
-def _vertex_count(vertex_count) -> int:
-    """vertex_count as an int, or ValueError naming it if it is none."""
-    try:
-        return index(vertex_count)
-    except TypeError:
-        raise ValueError(f"vertex count {vertex_count!r} is not an integer") from None
 
 
 def _once_per_graph(compute: Callable[[Graph], T]) -> Callable[[Graph], T]:
@@ -71,37 +102,8 @@ def _once_per_graph(compute: Callable[[Graph], T]) -> Callable[[Graph], T]:
 
 
 def graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Build a canonical Graph; loops are errors, duplicates are dropped.
-
-    A loop always signals a broken construction upstream (e.g. a quotient by
-    something that is not a covering involution), so it is a hard error,
-    while duplicate edges can legitimately arise when two edges collapse
-    onto one and are silently merged.  The vertex count and the endpoints
-    must be integers.  Edges are sorted as the integer keys ``lo * n + hi``;
-    only when one is bad are they walked again, in input order, to name the
-    first bad one.
-    """
-    n = _vertex_count(vertex_count)
-    edges = edges if isinstance(edges, (list, tuple)) else list(edges)  # may be walked twice
-    try:
-        keys = {u * n + v if -1 < u < v < n else v * n + u if -1 < v < u < n else -1
-                for u, v in edges}
-    except (TypeError, ValueError):  # malformed edges: the walk re-raises
-        keys = {-1}
-    # A non-int endpoint (1.5, 2.0) makes its key, and so the sum, non-int.
-    if -1 in keys or type(sum(keys)) is not int:
-        keys = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop edge at vertex {u}")
-            try:
-                lo, hi = sorted(map(index, (u, v)))
-            except TypeError:
-                raise ValueError(f"edge ({u!r},{v!r}) has a non-integer endpoint") from None
-            if not (0 <= lo and hi < n):
-                raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
-            keys.add(lo * n + hi)
-    return Graph(n, tuple(map(divmod, sorted(keys), repeat(n))))
+    """The canonical Graph with these vertices and edges; see :class:`Graph`."""
+    return Graph(vertex_count, edges)
 
 
 @_once_per_graph
@@ -233,7 +235,6 @@ def encode_graph6(g: Graph) -> str:
     x(0,1) x(0,2) x(1,2) x(0,3) ... packed 6 per character, offset by 63.
 
     Python sets one bit per edge; the offset is a single ``bytes.translate``.
-    Raises ValueError naming the first edge that is not 0 <= u < v < n.
     """
     n = g.vertex_count
     if n > _G6_MAX:
@@ -245,8 +246,6 @@ def encode_graph6(g: Graph) -> str:
     nbits = n * (n - 1) // 2
     bits = bytearray((nbits + 5) // 6)
     for u, v in g.edges:
-        if not 0 <= u < v < n:  # a Graph built by hand, not by graph()
-            raise ValueError(f"edge ({u},{v}) is not 0 <= u < v < {n}")
         pos = v * (v - 1) // 2 + u
         bits[pos // 6] |= 32 >> (pos % 6)
     return header + bits.translate(_PLUS_63).decode("ascii")

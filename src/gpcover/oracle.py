@@ -452,7 +452,7 @@ def kronecker_involutions(g: Graph) -> list[Perm]:
 @_once_per_graph
 def _kronecker_involutions(g: Graph) -> tuple[Perm, ...]:
     components, colors, _ = _search(g)
-    if len(components) != 1 or colors is None:
+    if len(components) > 1 or colors is None:
         return ()
     candidates = automorphisms(g, involutions=True)
     return tuple(p for p in candidates if is_kronecker_involution(g, p))

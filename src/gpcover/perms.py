@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _integer
 
 Perm = tuple[int, ...]
 
@@ -112,6 +112,7 @@ class WordTriple:
     c: int
 
     def __post_init__(self) -> None:
+        _integer("a", self.a)
         if self.b not in (0, 1) or self.c not in (0, 1):
             raise ValueError("b and c must be 0 or 1")
 

@@ -1,3 +1,5 @@
+import re
+
 import networkx as nx
 import pytest
 
@@ -35,6 +37,18 @@ class TestGpParams:
     def test_zero_k_rejected(self):
         with pytest.raises(ValueError):
             GpParams(7, 0)
+
+    @pytest.mark.parametrize("n, k, message", [
+        (12.0, 5, "n 12.0 is not an integer"),
+        ("10", 3, "n '10' is not an integer"),
+        (10.5, 3, "n 10.5 is not an integer"),
+        (None, 3, "n None is not an integer"),
+        (10, 3.0, "k 3.0 is not an integer"),
+        (10, "3", "k '3' is not an integer"),
+    ])
+    def test_non_integer_rejected(self, n, k, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GpParams(n, k)
 
 
 class TestGp:
@@ -92,6 +106,15 @@ class TestLcf:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="jumps"):
             LcfSpec(4, (2, 2))
+
+    @pytest.mark.parametrize("n, message", [
+        (4.0, "n 4.0 is not an integer"),
+        ("4", "n '4' is not an integer"),
+        (None, "n None is not an integer"),
+    ])
+    def test_non_integer_n_rejected(self, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LcfSpec(n, (2, 2, 2, 2))
 
 
 def gp_k4():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import random
 import re
@@ -29,7 +30,8 @@ from gpcover.graphs import (
 from gpcover.classify import classify
 from gpcover.families import GpParams, gp
 from gpcover.covers import kronecker_cover, quotient
-from gpcover.perms import from_triple
+from gpcover.oracle import automorphisms
+from gpcover.perms import from_triple, is_automorphism
 
 
 def k4():
@@ -83,9 +85,11 @@ class TestAdjacency:
 
 
 def reference_graph(vertex_count, edges):
-    """graph() as it was before integer edge keys: a set of ordered pairs,
-    each edge checked in input order.  The new graph() must give the same
-    Graph, or raise the same exception with the same message."""
+    """graph() as it was before integer edge keys, without the Graph
+    constructor: a set of ordered pairs, each edge checked in input order,
+    then the vertex count.  Returns the (vertex_count, edges) fields that
+    graph() and Graph() must give, or raises the same exception with the
+    same message."""
     canon = set()
     for e in edges:
         u, v = e
@@ -94,17 +98,21 @@ def reference_graph(vertex_count, edges):
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ValueError(f"edge ({u},{v}) out of range for {vertex_count} vertices")
         canon.add((u, v) if u < v else (v, u))
-    return Graph(vertex_count, tuple(sorted(canon)))
+    if vertex_count < 0:
+        raise ValueError("vertex_count must be non-negative")
+    return vertex_count, tuple(sorted(canon))
 
 
 def build_outcome(build, n, edges, kind):
     """build(n, edges) with the edges passed as a list, a tuple or a
-    generator, as the Graph it returns or the (type, message) it raises."""
+    generator, as the (vertex_count, edges) fields of the Graph it returns
+    or the (type, message) it raises."""
     arg = {"list": list, "tuple": tuple, "generator": lambda es: (e for e in es)}[kind](edges)
     try:
-        return build(n, arg)
+        built = build(n, arg)
     except Exception as exc:
         return type(exc), str(exc)
+    return (built.vertex_count, built.edges) if isinstance(built, Graph) else built
 
 
 def messy_edges(rng, n, m, bad):
@@ -141,7 +149,8 @@ class TestGraphMatchesReference:
     @example((0, []), "tuple")
     def test_small_inputs(self, case, kind):
         n, edges = case
-        assert build_outcome(graph, n, edges, kind) == build_outcome(reference_graph, n, edges, kind)
+        expected = build_outcome(reference_graph, n, edges, kind)
+        assert build_outcome(graph, n, edges, kind) == build_outcome(Graph, n, edges, kind) == expected
 
     def test_seeded_inputs_at_workload_sizes(self):
         # Every other case holds a bad edge somewhere; the rest are valid.
@@ -151,13 +160,15 @@ class TestGraphMatchesReference:
             edges = messy_edges(rng, n, rng.randrange(3 * n), bad=trial % 2 == 1)
             kind = ("list", "tuple", "generator")[trial % 3]
             new = build_outcome(graph, n, edges, kind)
+            assert new == build_outcome(Graph, n, edges, kind), (n, kind)
             assert new == build_outcome(reference_graph, n, edges, kind), (n, kind)
-            if isinstance(new, Graph):
-                assert all(type(u) is int and type(v) is int for u, v in new.edges)
+            if isinstance(new[1], tuple):  # built, not raised
+                assert all(type(u) is int and type(v) is int for u, v in new[1])
 
     def test_canonical_inputs_unchanged(self):
         for g in (k4(), gp(GpParams(60, 17)), canonical_quotient(420, 29)[1]):
-            assert graph(g.vertex_count, g.edges) == reference_graph(g.vertex_count, g.edges) == g
+            assert graph(g.vertex_count, g.edges) == Graph(g.vertex_count, g.edges) == g
+            assert reference_graph(g.vertex_count, g.edges) == (g.vertex_count, g.edges)
 
 
 class TestConstruction:
@@ -205,6 +216,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match=re.escape(f"vertex count {count!r} is not an integer")):
             Graph(count, ())
 
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 0),), "loop edge at vertex 0"),
+        (((1, 1),), "loop edge at vertex 1"),
+        (((0, 5),), "edge (0,5) out of range for 3 vertices"),
+        (((-1, 2),), "edge (-1,2) out of range for 3 vertices"),
+        (((0, 1), (2, 0), (0, 9)), "edge (0,9) out of range for 3 vertices"),
+    ], ids=["(0,0)", "(1,1)", "(0,5)", "(-1,2)", "(0,9)"])
+    def test_hand_built_bad_edge_rejected(self, edges, message):
+        # Refused when the Graph is built, before any search or encoder can
+        # meet the edge, with the message graph() gives.
+        for build in (Graph, graph):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(3, edges)
+
     def test_loop_before_non_integer_named_first(self):
         with pytest.raises(ValueError, match="loop edge at vertex 1"):
             graph(3, [(1, 1), (0, 1.5)])
@@ -229,6 +254,34 @@ class TestConstruction:
         for _ in range(50):
             g = random_graph(rng)
             assert sum(degrees(g)) == 2 * len(g.edges)
+
+
+class TestEveryGraphIsCanonical:
+    """Graph(n, edges) stores the same canonical fields as graph(n, edges),
+    so no search, encoder or comparison meets a duplicate, reversed or
+    list-typed edge list."""
+
+    def test_duplicate_edges_are_merged(self):
+        g = Graph(3, ((0, 1), (0, 1)))
+        assert g.edges == ((0, 1),)
+        assert len(automorphisms(g)) == 2
+
+    def test_reversed_edge_is_ordered(self):
+        g = Graph(2, ((1, 0),))
+        assert g == graph(2, [(0, 1)])
+        assert is_automorphism(g, (0, 1))
+        assert encode_graph6(Graph(3, ((1, 0),))) == encode_graph6(graph(3, [(0, 1)]))
+
+    def test_list_edges_become_a_hashable_tuple(self):
+        g = Graph(3, [(0, 1)])
+        assert g.edges == ((0, 1),)
+        assert hash(g) == hash(graph(3, [(0, 1)]))
+
+    def test_replace_builds_a_canonical_graph(self):
+        g = dataclasses.replace(k4(), edges=[(2, 1), (1, 0), (2, 1)])
+        assert g == graph(4, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=re.escape("edge (0,4) out of range for 4 vertices")):
+            dataclasses.replace(k4(), edges=[(0, 4)])
 
 
 class TestBipartition:
@@ -560,17 +613,6 @@ class TestGraph6:
     @pytest.mark.parametrize("text", ["Bw", "A_", "D~{"])
     def test_full_last_character_accepted(self, text):
         assert encode_graph6(decode_graph6(text)) == text
-
-    @pytest.mark.parametrize("edges, named", [
-        (((1, 0),), "(1,0)"),
-        (((0, 5),), "(0,5)"),
-        (((1, 1),), "(1,1)"),
-        (((-1, 2),), "(-1,2)"),
-        (((0, 1), (2, 0), (0, 9)), "(2,0)"),
-    ])
-    def test_encode_names_the_first_bad_edge_of_a_hand_built_graph(self, edges, named):
-        with pytest.raises(ValueError, match=re.escape(f"edge {named} is not 0 <= u < v < 3")):
-            encode_graph6(Graph(3, edges))
 
     def test_malformed_long_header_rejected(self):
         with pytest.raises(GraphFormatError):

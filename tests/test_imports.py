@@ -1,7 +1,7 @@
 """Every module in src/gpcover imports only names it uses, imports the
-package's modules in its header only, defines only public names that
-something besides its own unit tests uses, and memoizes at module level
-only where a stated reason allows it.
+package's modules in its header only, builds graphs only through
+``graphs.graph``, defines only public names that something besides its own
+unit tests uses, and memoizes nothing at module level.
 
 No linter is installed, so these walk each module's syntax tree with the
 standard library only.  ``import a.b`` binds ``a`` and ``import a as b``
@@ -10,10 +10,13 @@ binds ``b``; ``from a import b`` binds ``b``.  ``__init__.py`` is exempt
 ``from __future__ import ...``.
 """
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
+
+from gpcover import graphs
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gpcover"
@@ -103,6 +106,54 @@ def test_detector_flags_function_local_package_imports():
         "        from ..gpcover import covers\n"
     )
     assert local_package_imports(source) == ["f:4", "f:5", "f:6", "f:10", "h:14"]
+
+
+# Graphs are built only through graphs.graph, so the benchmark's traced
+# graphs.graph counts every construction: no other module calls Graph(...),
+# and graph stays a function of its own rather than an alias of the class.
+
+
+def graph_constructions(source: str) -> list[int]:
+    """Lines that call the Graph class directly: by its name, under an
+    import alias, or as an attribute (``graphs.Graph(...)``)."""
+    tree = ast.parse(source)
+    names = {"Graph"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "Graph" and alias.asname
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+    ]
+
+
+def test_graphs_are_built_through_graph():
+    found = [
+        f"{p.name}:{line}"
+        for p in MODULES
+        if p.name != "graphs.py"
+        for line in graph_constructions(p.read_text())
+    ]
+    assert found == []
+    assert inspect.isfunction(graphs.graph) and graphs.graph is not graphs.Graph
+
+
+def test_detector_flags_direct_graph_constructions():
+    source = (
+        "from .graphs import Graph, Graph as G, graph\n"
+        "from . import graphs\n"
+        "def f(n):\n"
+        "    a = graph(n, [])\n"
+        "    b = Graph(n, ())\n"
+        "    c = G(n, ())\n"
+        "    return graphs.Graph(n, ()), isinstance(a, Graph), Graph\n"
+    )
+    assert graph_constructions(source) == [5, 6, 7]
 
 
 # Public names kept without a caller, each for a stated reason.

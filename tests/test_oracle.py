@@ -468,6 +468,21 @@ class TestKroneckerInvolutions:
         assert invs
         assert all(is_kronecker_involution(g, p) for p in invs)
 
+    @pytest.mark.parametrize("g", [
+        graph(0, []),
+        graph(1, []),
+        graph(2, [(0, 1)]),
+        graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+        graph(4, [(0, 1), (2, 3)]),
+    ], ids=["null", "K1", "K2", "C4", "2K2"])
+    def test_tiny_graphs_match_the_clause_checker(self, g):
+        # The search gives up on a graph exactly when the clause checker
+        # would refuse every map: the null graph is connected, and its
+        # empty map is a covering involution.
+        candidates = automorphisms(g, involutions=True)
+        expected = [p for p in candidates if is_kronecker_involution(g, p)]
+        assert kronecker_involutions(g) == expected
+
     def test_pruned_search_matches_filtered_group(self):
         for n in range(3, 33):
             for k in range(1, (n - 1) // 2 + 1):

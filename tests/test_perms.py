@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gpcover.graphs import bipartition
@@ -166,6 +168,15 @@ class TestWordTriples:
     def test_gamma_requires_valid_k(self):
         with pytest.raises(ValueError, match="gamma"):
             from_triple(7, 2, WordTriple(0, 0, 1))
+
+    @pytest.mark.parametrize("a, message", [
+        (6.0, "a 6.0 is not an integer"),
+        ("6", "a '6' is not an integer"),
+        (None, "a None is not an integer"),
+    ])
+    def test_non_integer_exponent_rejected(self, a, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WordTriple(a, 0, 1)
 
     def test_triple_uniqueness(self):
         # Distinct triples give distinct permutations, and together they are
