@@ -17,7 +17,7 @@ from .families import GpParams, gp
 from .classify import Case, QuotientDesc, classify, involution_family
 from .perms import desargues_half_turn, from_triple
 from .covers import kronecker_cover, quotient
-from .census import census, rows_to_csv, rows_to_json, verify
+from .census import _keys, census, rows_to_csv, rows_to_json, verify
 
 
 class _UsageError(Exception):
@@ -222,9 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "census":
             if args.min_n > args.max_n:
                 parser.error(f"--min-n {args.min_n} is greater than --max-n {args.max_n}")
-            # Without --all-rows only bipartite (n,k) have rows: even n >= 4.
-            first_even = max(4, args.min_n + args.min_n % 2)
-            if not args.all_rows and first_even > args.max_n:
+            if not args.all_rows and next(_keys(args.min_n, args.max_n, False), None) is None:
                 parser.error(
                     f"--min-n {args.min_n} --max-n {args.max_n} holds no even "
                     f"n >= 4, so no bipartite row; --all-rows adds the "

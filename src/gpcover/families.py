@@ -19,9 +19,11 @@ class GpParams:
     k: int
 
     def __post_init__(self) -> None:
-        if _integer("n", self.n) < 3:
+        for name in ("n", "k"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.n < 3:
             raise ValueError(f"n must be at least 3, got {self.n}")
-        if _integer("k", self.k) < 1:
+        if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if 2 * self.k >= self.n:
             raise ValueError(f"k={self.k} violates k < n/2 for n={self.n}")
@@ -31,17 +33,21 @@ class GpParams:
 class LcfSpec:
     """Cyclic jump sequence over Z_n: an n-cycle plus the chords {i, i+f(i)}.
 
-    Construction is deliberately unvalidated so degenerate sequences can be
-    inspected and reported; :func:`lcf_violations` lists the problems and
-    :func:`lcf` refuses to materialize an invalid spec.
+    Construction checks only that n >= 3 and that the jumps are n integers,
+    kept as a tuple of ints, so degenerate sequences can be inspected and
+    reported; :func:`lcf_violations` lists the problems and :func:`lcf`
+    refuses to materialize an invalid spec.
     """
 
     n: int
     jumps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if _integer("n", self.n) < 3:
+        object.__setattr__(self, "n", _integer("n", self.n))
+        if self.n < 3:
             raise ValueError(f"n must be at least 3, got {self.n}")
+        jumps = tuple(_integer(f"jumps[{i}]", j) for i, j in enumerate(self.jumps))
+        object.__setattr__(self, "jumps", jumps)
         if len(self.jumps) != self.n:
             raise ValueError(f"expected {self.n} jumps, got {len(self.jumps)}")
 

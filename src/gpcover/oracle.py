@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graphs import (
     Graph, _once_per_graph, _search, adjacency, adjacency_masks, bipartition,
@@ -260,10 +260,9 @@ def _join(uf: list[int], gamma: Sequence[int]) -> None:
                 uf[rx] = ry
 
 
-def _backtrack(g, domain, image, sides, first_only) -> list[Perm]:
+def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
     """The automorphisms of g that map the cells of the partition domain onto
-    the cells of the partition image at the same starts; with first_only the
-    first one found, or none.
+    the cells of the partition image at the same starts, yielded as found.
 
     Backtracking over the visit order of g's breadth-first search in
     ``graphs``, component by component from vertex 0: each candidate image
@@ -312,7 +311,6 @@ def _backtrack(g, domain, image, sides, first_only) -> list[Perm]:
     # bit[mapping[w]] is 0 while w is unmapped (mapping[w] == -1).
     bit = [1 << v for v in range(n)] + [0]
 
-    results: list[Perm] = []
     mapping = [-1] * n
     used = 0
     # Images still to try at each depth; depth n is a leaf and has none.
@@ -324,9 +322,7 @@ def _backtrack(g, domain, image, sides, first_only) -> list[Perm]:
                 t += 1
         images = untried[t]
         if t == n:
-            results.append(tuple(mapping))
-            if first_only:
-                return results
+            yield tuple(mapping)
         else:
             u = bfs_order[t]
             req = 0
@@ -343,7 +339,7 @@ def _backtrack(g, domain, image, sides, first_only) -> list[Perm]:
         while not images:
             t -= 1
             if t < 0:
-                return results
+                return
             u = bfs_order[t]
             x = mapping[u]
             if pairs:
@@ -403,13 +399,13 @@ def automorphisms(g: Graph, *, involutions: bool = False) -> list[Perm]:
     adj = adjacency(g)
     root = _equitable(adj)
     if involutions:
-        return sorted(_backtrack(g, root, root, sides, False))
+        return sorted(_backtrack(g, root, root, sides))
 
     r = 0  # the first vertex in _backtrack's BFS order
     s = root[2][r]
     cell = root[0][s:s + root[3][s]]
     fixed = _individualized(adj, root, r) if len(cell) > 1 else root
-    stabilizer = _backtrack(g, fixed, fixed, None, False)
+    stabilizer = list(_backtrack(g, fixed, fixed, None))
     orbits = list(range(n))
     for h in stabilizer:
         _join(orbits, h)
@@ -420,12 +416,12 @@ def automorphisms(g: Graph, *, involutions: bool = False) -> list[Perm]:
         if rx == _find(orbits, r) or any(_find(orbits, y) == rx for y in rejected):
             continue
         part = _individualized(adj, root, x)
-        found = part[3] == fixed[3] and _backtrack(g, fixed, part, None, True)
-        if found:
-            leaves.append(found[0])
-            _join(orbits, found[0])
-        else:
+        leaf = next(_backtrack(g, fixed, part, None), None) if part[3] == fixed[3] else None
+        if leaf is None:
             rejected.append(x)
+        else:
+            leaves.append(leaf)
+            _join(orbits, leaf)
 
     generators = stabilizer + leaves
     transversal = {r: tuple(range(n))}
@@ -491,20 +487,17 @@ class _Node:
 
     ``part`` is the node's partition, which the search never changes once
     the node exists, and ``start`` the start of its target cell, whose
-    members are individualized in turn.  ``tied`` says whether the shapes
-    along the path down to this node equal the best leaf's; ``orbits`` is
-    set only on the first path, where it is the union-find of the
-    automorphisms found so far that fix the path's individualized vertices
-    above this node."""
+    members are individualized in turn.  ``orbits`` is set only on the
+    first path, where it is the union-find of the automorphisms found so far
+    that fix the path's individualized vertices above this node."""
 
-    __slots__ = ("part", "start", "untried", "done", "tied", "orbits")
+    __slots__ = ("part", "start", "untried", "done", "orbits")
 
-    def __init__(self, part, start, tied, orbits):
+    def __init__(self, part, start, orbits):
         self.part = part
         self.start = start
         self.untried = iter(part[0][start:start + part[3][start]])
         self.done: list[int] = []
-        self.tied = tied
         self.orbits = orbits
 
 
@@ -536,24 +529,18 @@ def _relabeled_edges(g: Graph, pos: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(edges))
 
 
-def _next_child(adj, node: _Node, bound: Optional[list[int]]):
-    """The next child of node that no rule prunes, as (vertex, partition,
-    tied), or None.  The child's partition is a copy of node's in which the
-    vertex moves to the front of the target cell as a singleton, refined
-    from that singleton.  ``bound`` is the best leaf's shape one level down
-    when the path is tied with it, else None."""
+def _next_child(adj, node: _Node):
+    """The next child of node outside the orbits of its explored siblings,
+    as (vertex, partition), or None.  The child's partition is a copy of
+    node's in which the vertex moves to the front of the target cell as a
+    singleton, refined from that singleton."""
     for v in node.untried:
         if node.orbits is not None:
             rv = _find(node.orbits, v)
             if any(_find(node.orbits, u) == rv for u in node.done):
                 continue
         node.done.append(v)
-        child = _individualized(adj, node.part, v)
-        size = child[3]
-        if bound is None:
-            return v, child, node.tied
-        if size <= bound:
-            return v, child, size == bound
+        return v, _individualized(adj, node.part, v)
     return None
 
 
@@ -584,9 +571,11 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
     - stabilizer orbits: at a node of the first path, a child in the orbit
       of an explored sibling under the automorphisms found so far that fix
       the path above it is skipped;
-    - node invariant: where the path's shapes equal the best leaf's, a child
-      whose shape is greater than the best path's at that depth is skipped,
-      and below a smaller one every leaf beats the best.
+    - node invariant: a child whose path shapes are greater than the best
+      leaf's shapes to the same depth is skipped, since every leaf below it
+      is greater.  No node on the path is ever above the best leaf's shapes,
+      because a child is entered only when it is not and a new best lies
+      below the path, so this prunes only where the path was equal to them.
 
     With a target the search walks the same tree in the same order and
     stops at its answer.  A leaf equal to the target answers True: the two
@@ -602,7 +591,6 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
     n = g.vertex_count
     adj = adjacency(g)
     part = _equitable(adj)
-    tied = True
     path: list[int] = []  # the vertex individualized at each depth
     shapes = [part[3]]
     nodes: list[_Node] = []  # the inner nodes above the current node
@@ -614,7 +602,7 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
         open_cells = [(z, s) for s, z in enumerate(size) if z > 1]
         if open_cells and not _homogeneous(adj, part):
             orbits = list(range(n)) if first is None else None
-            nodes.append(_Node(part, min(open_cells)[1], tied, orbits))
+            nodes.append(_Node(part, min(open_cells)[1], orbits))
         else:
             cert = (tuple(shapes), _relabeled_edges(g, pos))
             if target is not None and cert <= target:
@@ -638,28 +626,24 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
                     back += 1
             elif cert < best[0]:
                 best = (cert, order, path[:])
-                for node in nodes:
-                    node.tied = True
             del nodes[back + 1:]
         # Descend into the next child of the deepest node that has one.
         while nodes:
             d = len(nodes) - 1
             del path[d:]
             del shapes[d + 1:]
-            node = nodes[d]
-            bound = None
-            if node.tied and best is not None:
-                best_shapes = best[0][0]
-                bound = best_shapes[d + 1] if d + 1 < len(best_shapes) else []
-            found = _next_child(adj, node, bound)
-            if found is not None:
-                v, part, tied = found
-                path.append(v)
-                shapes.append(part[3])
-                if target is not None and tuple(shapes) < target[0][:d + 2]:
-                    return False  # every leaf below lies below the target
-                break
-            nodes.pop()
+            found = _next_child(adj, nodes[d])
+            if found is None:
+                nodes.pop()
+                continue
+            v, part = found
+            path.append(v)
+            shapes.append(part[3])
+            if target is not None and tuple(shapes) < target[0][:d + 2]:
+                return False  # every leaf below lies below the target
+            if best is not None and tuple(shapes) > best[0][0][:d + 2]:
+                continue  # every leaf below lies above the best
+            break
         else:
             return best[0] if target is None else False
 

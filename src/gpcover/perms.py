@@ -112,7 +112,8 @@ class WordTriple:
     c: int
 
     def __post_init__(self) -> None:
-        _integer("a", self.a)
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.b not in (0, 1) or self.c not in (0, 1):
             raise ValueError("b and c must be 0 or 1")
 

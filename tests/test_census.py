@@ -5,8 +5,10 @@ import pytest
 
 from gpcover.oracle import SearchBoundExceeded, is_isomorphic
 
+from gpcover.classify import Case, Classification, QuotientDesc
 from gpcover.census import (
     CSV_COLUMNS,
+    _compare,
     census,
     rows_to_csv,
     rows_to_json,
@@ -223,3 +225,11 @@ class TestVerify:
     def test_notes_mention_8_3(self):
         report = verify(8)
         assert any("(8,3)" in note for note in report.notes)
+
+    def test_quotient_that_cannot_be_built_fails_its_check(self):
+        # A hand-built B2 classification of GP(8,3): its C-(8,3) has zero
+        # jumps, so materialize() fails and the check reports why.
+        c = Classification(8, 3, Case.B2, (QuotientDesc("cminus", 8, 3),), None)
+        check = next(ch for ch in _compare(c)[1] if ch.name == "quotient_iso[C-(8,3)]")
+        assert not check.passed
+        assert check.detail == "invalid LCF spec: zero jump at positions [1, 3, 5, 7]"

@@ -164,6 +164,10 @@ class TestInvolutionFamily:
         with pytest.raises(ValueError, match="not B1/B2"):
             involution_family(GpParams(8, 3))
 
+    def test_even_k_has_no_shift_family(self):
+        with pytest.raises(ValueError, match="shift families require odd k"):
+            family_shifts(12, 4)
+
 
 class TestQuotientLcf:
     def test_canonical_shift_matches_c_plus(self):
@@ -211,3 +215,7 @@ class TestQuotientDesc:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown quotient kind 'weird'"):
             QuotientDesc("weird", 4, 1)
+
+    def test_only_c_quotients_have_a_spec(self):
+        assert QuotientDesc("gp", 5, 2).spec() is None
+        assert QuotientDesc("h").spec() is None

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +84,12 @@ class TestQuotientCommand:
         code, out, _ = run(capsys, "quotient", "--n", "10", "--k", "3", "--delta")
         assert code == 0
         assert is_isomorphic(decode_graph6(out.strip()), h_graph())
+
+    def test_delta_off_desargues_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "quotient", "--n", "12", "--k", "5", "--delta")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --delta applies only to GP(10,3)\n"
 
     def test_delta_with_shift_is_usage_error(self, capsys):
         code, out, err = run(
@@ -386,3 +395,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "A1" in proc.stdout
+
+
+def readme_cli_lines():
+    """The ``gpcover ...`` lines of the README's ## CLI block, as (argv,
+    comment) with comment the text after the line's ``#``, or ""."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = re.match(r"(.*?)(\s+#\s*(.*))?$", line).groups()
+        argv = shlex.split(command)
+        assert argv[0] == "gpcover", line
+        lines.append((argv[1:], comment or ""))
+    assert lines
+    return lines
+
+
+README_CLI_LINES = readme_cli_lines()
+
+
+@pytest.mark.parametrize("argv,comment", README_CLI_LINES,
+                         ids=[" ".join(argv) for argv, _ in README_CLI_LINES])
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch, argv, comment):
+    # Each example exits 0; a plain classify line's comment is its stdout.
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if argv[0] == "classify" and len(argv) == 5:
+        assert out == comment + "\n"

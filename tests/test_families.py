@@ -13,7 +13,7 @@ from gpcover.families import (
     lcf_violations,
 )
 from gpcover.covers import kronecker_cover
-from gpcover.classify import QuotientDesc, quotient_lcf
+from gpcover.classify import QuotientDesc, classify, quotient_lcf
 from gpcover.oracle import is_isomorphic
 
 
@@ -49,6 +49,16 @@ class TestGpParams:
     def test_non_integer_rejected(self, n, k, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             GpParams(n, k)
+
+    @pytest.mark.parametrize("dtype", ["int64", "int32", "uint8"])
+    def test_integer_like_values_stored_as_ints(self, dtype):
+        # Stored as ints, so nothing downstream prints them as numpy
+        # scalars: not the classification, its quotient nor its word.
+        make = getattr(pytest.importorskip("numpy"), dtype)
+        p = GpParams(make(12), make(5))
+        assert type(p.n) is int and type(p.k) is int
+        assert p == GpParams(12, 5) and hash(p) == hash(GpParams(12, 5))
+        assert repr(classify(p)) == repr(classify(GpParams(12, 5)))
 
 
 class TestGp:
@@ -115,6 +125,33 @@ class TestLcf:
     def test_non_integer_n_rejected(self, n, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             LcfSpec(n, (2, 2, 2, 2))
+
+    def test_small_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be at least 3, got 2"):
+            LcfSpec(2, (1, 1))
+
+    @pytest.mark.parametrize("jumps, message", [
+        ((2.0,) * 4, "jumps[0] 2.0 is not an integer"),
+        ((2, 2, 2, "2"), "jumps[3] '2' is not an integer"),
+        ((2, None, 2, 2), "jumps[1] None is not an integer"),
+    ])
+    def test_non_integer_jump_rejected(self, jumps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LcfSpec(4, jumps)
+
+    @pytest.mark.parametrize("build", [
+        lambda np: LcfSpec(4, [2, 2, 2, 2]),
+        lambda np: LcfSpec(np.int64(4), np.full(4, 2)),
+        lambda np: LcfSpec(4, (np.int32(2), 2, np.uint8(2), np.int64(2))),
+    ], ids=["list", "numpy-array", "mixed"])
+    def test_integer_like_values_stored_as_ints(self, build):
+        # The jumps are kept as a tuple of ints, so the spec hashes and
+        # lcf() indexes with them.
+        spec = build(pytest.importorskip("numpy"))
+        assert type(spec.n) is int and type(spec.jumps) is tuple
+        assert all(type(j) is int for j in spec.jumps)
+        assert spec == LcfSpec(4, (2, 2, 2, 2)) and hash(spec) == hash(LcfSpec(4, (2, 2, 2, 2)))
+        assert lcf(spec) == gp_k4()
 
 
 def gp_k4():

@@ -517,6 +517,10 @@ class TestGraph6:
     def test_single_vertex(self):
         assert encode_graph6(graph(1, [])) == "@"
 
+    def test_too_many_vertices_rejected(self):
+        with pytest.raises(ValueError, match="graph6 supports at most 258047 vertices"):
+            encode_graph6(graph(258048, []))
+
     def test_round_trip_random(self):
         rng = random.Random(99)
         for _ in range(100):

@@ -906,8 +906,8 @@ class TestCanonicalFormSoundness:
         next_child = oracle._next_child
         children = []
 
-        def checked(adj, node, bound):
-            found = next_child(adj, node, bound)
+        def checked(adj, node):
+            found = next_child(adj, node)
             assert node.part == node.snapshot
             children.append(found)
             return found
@@ -939,6 +939,17 @@ class TestCanonicalFormSoundness:
                 calls.clear()
                 oracle._canonical_search(gp(GpParams(n, k)))
                 assert len(calls) <= ceiling.get((n, k), 10), (n, k, len(calls))
+
+    @pytest.mark.parametrize("seed,ceiling", [(0, 141), (1, 119), (2, 59)])
+    def test_node_invariant_prunes_latin_square_searches(self, monkeypatch, seed, ceiling):
+        # Orbits and backjumps alone take 371/377/288 refinement calls here;
+        # skipping children whose shapes pass the best leaf's cuts that.
+        calls = []
+        refine_in_place = oracle._refine
+        monkeypatch.setattr(oracle, "_refine",
+                            lambda *args: calls.append(1) or refine_in_place(*args))
+        oracle._canonical_search(latin_square_graph(6, seed))
+        assert len(calls) <= ceiling, len(calls)
 
     def test_search_leaves_no_cyclic_garbage(self):
         # Cyclic garbage lives until the cyclic collector runs, so it raises

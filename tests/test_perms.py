@@ -114,6 +114,13 @@ class TestGenerators:
         )
         assert not is_automorphism(gp(GpParams(n, k)), fake)
 
+    def test_is_automorphism_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="permutation length 9 != vertex count 10"):
+            is_automorphism(gp(GpParams(5, 2)), tuple(range(9)))
+
+    def test_non_permutation_is_not_automorphism(self):
+        assert not is_automorphism(gp(GpParams(5, 2)), (0,) * 10)
+
     def test_dihedral_relations(self):
         for n, k in [(6, 1), (9, 2), (14, 3)]:
             a, b = rotation(n), reflection(n)
@@ -178,6 +185,23 @@ class TestWordTriples:
         with pytest.raises(ValueError, match=re.escape(message)):
             WordTriple(a, 0, 1)
 
+    @pytest.mark.parametrize("b, c, message", [
+        (1.0, 1, "b 1.0 is not an integer"),
+        (0, "1", "c '1' is not an integer"),
+        (2, 0, "b and c must be 0 or 1"),
+        (0, -1, "b and c must be 0 or 1"),
+    ])
+    def test_bad_reflection_or_swap_exponent_rejected(self, b, c, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WordTriple(1, b, c)
+
+    @pytest.mark.parametrize("dtype", ["int64", "int32", "uint8"])
+    def test_integer_like_exponents_stored_as_ints(self, dtype):
+        make = getattr(pytest.importorskip("numpy"), dtype)
+        t = WordTriple(make(6), make(0), make(1))
+        assert all(type(x) is int for x in (t.a, t.b, t.c))
+        assert t == WordTriple(6, 0, 1) and repr(t) == repr(WordTriple(6, 0, 1))
+
     def test_triple_uniqueness(self):
         # Distinct triples give distinct permutations, and together they are
         # the whole group <alpha, beta, gamma> (of full order 4n here).
@@ -195,3 +219,7 @@ class TestWordTriples:
         assert format_word(WordTriple(0, 0, 0)) == "1"
         assert format_word("delta") == "Δ"
         assert format_word("delta", ascii_only=True) == "D"
+
+    def test_format_word_unknown_special_rejected(self):
+        with pytest.raises(ValueError, match="unknown special word 'gamma'"):
+            format_word("gamma")
