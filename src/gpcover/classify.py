@@ -20,7 +20,7 @@ from enum import Enum
 from math import gcd
 from typing import Optional
 
-from .graphs import Graph
+from .graphs import Graph, _integer
 from .families import GpParams, LcfSpec, gp, h_graph, lcf, rim_jumps
 from .perms import WordTriple, format_word
 
@@ -116,6 +116,10 @@ class QuotientDesc:
     def __post_init__(self) -> None:
         if self.kind not in ("gp", "h", *_FAMILY_OF_KIND):
             raise ValueError(f"unknown quotient kind {self.kind!r}")
+        for name in ("n", "k"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.kind == "h" and (self.n or self.k):
+            raise ValueError(f"quotient kind 'h' takes no n or k, got n={self.n}, k={self.k}")
 
     def label(self) -> str:
         if self.kind == "gp":

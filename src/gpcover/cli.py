@@ -196,9 +196,12 @@ def _cmd_export(args) -> int:
     if args.family == "h":
         if args.n is not None or args.k is not None:
             raise ValueError("--family h takes no --n or --k")
+        desc = QuotientDesc("h")
     elif args.n is None or args.k is None:
         raise ValueError(f"--family {args.family} requires --n and --k")
-    g = QuotientDesc(args.family, args.n, args.k).materialize()
+    else:
+        desc = QuotientDesc(args.family, args.n, args.k)
+    g = desc.materialize()
     if args.dot:
         _write_text(args.dot, to_dot(g))
     print(encode_graph6(g))

@@ -9,7 +9,7 @@ from __future__ import annotations
 from operator import eq
 from typing import Optional, Sequence
 
-from .graphs import Graph, _search, graph
+from .graphs import Graph, _from_pairs, _search
 from .perms import Perm, is_automorphism, is_permutation
 
 
@@ -20,7 +20,9 @@ class NotKroneckerInvolution(ValueError):
 def kronecker_cover(g: Graph) -> Graph:
     """The tensor product with a single edge; always bipartite, doubles |V| and |E|."""
     n0 = g.vertex_count
-    return graph(2 * n0, [(u, v + n0) for u, v in g.edges] + [(u + n0, v) for u, v in g.edges])
+    # Each base edge u < v < n0 gives two distinct pairs, each normalised
+    # with its first end below n0 and its second at or above.
+    return _from_pairs(2 * n0, [(u, v + n0) for u, v in g.edges] + [(v, u + n0) for u, v in g.edges])
 
 
 def natural_swap(base_vertex_count: int) -> Perm:
@@ -73,4 +75,14 @@ def quotient(g: Graph, p: Perm) -> Graph:
     reps = [x for x in range(g.vertex_count) if x < p[x]]
     rank = {x: i for i, x in enumerate(reps)}
     orbit = [rank[x if x < y else y] for x, y in enumerate(p)]
-    return graph(len(reps), [(orbit[u], orbit[v]) for u, v in g.edges])
+    colors = _search(g)[1]
+    # p passed the clause checker, so the edge {orbit(x), orbit(y)} has just
+    # the two preimages {x, y} and {p(x), p(y)}, and colour reversal makes
+    # their colour-0 ends lie in opposite orbits: keep the one whose
+    # colour-0 end has the lower orbit, which gives each edge once, normalised.
+    edges = []
+    for u, v in g.edges:
+        a, b = (orbit[v], orbit[u]) if colors[u] else (orbit[u], orbit[v])
+        if a < b:
+            edges.append((a, b))
+    return _from_pairs(len(reps), edges)

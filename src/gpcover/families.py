@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _integer, graph
+from .graphs import Graph, _from_pairs, _integer, graph
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,20 @@ def lcf_violations(spec: LcfSpec) -> list[str]:
 def lcf(spec: LcfSpec) -> Graph:
     """Materialize an LCF spec: ring 0-1-...-(n-1)-0 plus chords.
 
-    A jump of n/2 is listed from both ends but yields a single chord.
+    Each chord {i, i + f(i)} is listed once, from its lower end.
     """
     problems = lcf_violations(spec)
     if problems:
         raise ValueError("invalid LCF spec: " + "; ".join(problems))
     n = spec.n
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [(i, (i + spec.jumps[i]) % n) for i in range(n)]
-    return graph(n, edges)
+    # The spec passed lcf_violations, so the chords are a perfect matching
+    # that meets no ring edge: with each chord from its lower end, the
+    # normalised pairs are distinct.
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges.append((0, n - 1))
+    ends = [(i + f) % n for i, f in enumerate(spec.jumps)]
+    edges += [(i, j) for i, j in enumerate(ends) if i < j]
+    return _from_pairs(n, edges)
 
 
 def gp(p: GpParams) -> Graph:
@@ -95,10 +100,14 @@ def gp(p: GpParams) -> Graph:
     the perfect matching of spokes u_i v_i.
     """
     n, k = p.n, p.k
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    # Normalised pairs, each edge once since 1 <= k < n/2: the ring, the
+    # spokes, and the inner chords {i, i+k} without and with wrap-around.
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges.append((0, n - 1))
     edges += [(i, n + i) for i in range(n)]
-    return graph(2 * n, edges)
+    edges += [(n + i, n + i + k) for i in range(n - k)]
+    edges += [(n + i, 2 * n - k + i) for i in range(k)]
+    return _from_pairs(2 * n, edges)
 
 
 def rim_jumps(n: int, a: int, step: int) -> LcfSpec:

@@ -106,6 +106,19 @@ def graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(vertex_count, edges)
 
 
+def _from_pairs(n: int, pairs: Iterable[Edge]) -> Graph:
+    """The Graph on n vertices with these edges, built without the checks of
+    :class:`Graph`: for the package's builders, whose pairs are valid by
+    construction.  The caller guarantees an int n >= 0 and distinct int
+    pairs (lo, hi) with 0 <= lo < hi < n, in any order; sorting them then
+    gives the canonical order lo * n + hi.  Outside input goes through
+    :func:`graph`."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "vertex_count", n)
+    object.__setattr__(g, "edges", tuple(sorted(pairs)))
+    return g
+
+
 @_once_per_graph
 def adjacency(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbor lists, indexed by vertex, built once per Graph and
@@ -303,7 +316,9 @@ def decode_graph6(s: str | bytes) -> Graph:
             v = (1 + isqrt(8 * pos + 1)) // 2
             edges.append((pos - v * (v - 1) // 2, v))
         i = nonzero.find(1, i + 1)
-    return graph(n, edges)
+    # Each set bit is one position u < v < n (the padding check refused any
+    # bit past the last position), so the pairs are distinct and valid.
+    return _from_pairs(n, edges)
 
 
 def to_dot(g: Graph) -> str:

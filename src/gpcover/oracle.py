@@ -50,8 +50,8 @@ from collections import deque
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (
-    Graph, _once_per_graph, _search, adjacency, adjacency_masks, bipartition,
-    connected_components, degrees, encode_graph6, graph, is_connected,
+    Graph, _from_pairs, _once_per_graph, _search, adjacency, adjacency_masks,
+    bipartition, connected_components, degrees, encode_graph6, is_connected,
 )
 from .covers import is_kronecker_involution, quotient
 from .perms import Perm
@@ -470,7 +470,9 @@ def _canonical_edges(g: Graph) -> tuple[tuple[int, int], ...]:
     pieces = []
     for comp in comps:
         idx = {v: i for i, v in enumerate(comp)}
-        sub = graph(len(comp), [(idx[u], idx[v]) for u, v in g.edges if u in idx])
+        # comp is a sorted component and idx is increasing on it, so g's
+        # distinct edges inside comp map to distinct valid pairs.
+        sub = _from_pairs(len(comp), [(idx[u], idx[v]) for u, v in g.edges if u in idx])
         sub = searched.setdefault(sub, sub)
         pieces.append((len(comp), _least_certificate(sub)[1]))
     pieces.sort()
@@ -661,7 +663,8 @@ def canonical_form(g: Graph) -> bytes:
     module; they are not promised to stay the same across versions, since
     they follow the refinement's cell order."""
     check_bound(g.vertex_count)
-    return encode_graph6(graph(g.vertex_count, _canonical_edges(g))).encode("ascii")
+    # The canonical edges are already distinct, normalised and sorted.
+    return encode_graph6(_from_pairs(g.vertex_count, _canonical_edges(g))).encode("ascii")
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

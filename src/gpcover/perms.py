@@ -9,6 +9,7 @@ formulas in :mod:`gpcover.classify` are written in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from .graphs import Graph, _integer
@@ -23,7 +24,12 @@ def identity(n: int) -> Perm:
 
 
 def is_permutation(p: Sequence[int]) -> bool:
-    return sorted(p) == list(range(len(p)))
+    """Whether p lists each of 0..len(p)-1 once, as integers: a float entry
+    such as 1.0 is refused, since it cannot index a vertex."""
+    try:
+        return sorted(map(index, p)) == list(range(len(p)))
+    except TypeError:
+        return False
 
 
 def compose(p: Perm, q: Perm) -> Perm:

@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -219,3 +220,25 @@ class TestQuotientDesc:
     def test_only_c_quotients_have_a_spec(self):
         assert QuotientDesc("gp", 5, 2).spec() is None
         assert QuotientDesc("h").spec() is None
+
+    @pytest.mark.parametrize("n, k, message", [
+        (5.0, 2, "n 5.0 is not an integer"),
+        (5, "2", "k '2' is not an integer"),
+        (None, 2, "n None is not an integer"),
+    ])
+    def test_non_integer_n_or_k_rejected(self, n, k, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QuotientDesc("gp", n, k)
+
+    @pytest.mark.parametrize("dtype", ["int64", "int32", "uint8"])
+    def test_integer_like_values_stored_as_ints(self, dtype):
+        make = getattr(pytest.importorskip("numpy"), dtype)
+        desc = QuotientDesc("cplus", make(12), make(5))
+        assert type(desc.n) is int and type(desc.k) is int
+        assert desc == QuotientDesc("cplus", 12, 5) and desc.label() == "C+(12,5)"
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (0, 1), (10, 0)])
+    def test_h_takes_no_n_or_k(self, n, k):
+        with pytest.raises(ValueError, match=f"quotient kind 'h' takes no n or k, got n={n}, k={k}"):
+            QuotientDesc("h", n, k)
+        assert QuotientDesc("h", 0, 0) == QuotientDesc("h")

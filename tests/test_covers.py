@@ -117,6 +117,15 @@ class TestIsKroneckerInvolution:
     def test_wrong_length_is_false(self):
         assert not is_kronecker_involution(gp(GpParams(6, 1)), (0,))
 
+    def test_float_entries_are_not_a_permutation(self):
+        assert kronecker_involution_failure(graph(2, [(0, 1)]), [1.0, 0.0]) == (
+            "not a vertex permutation of g"
+        )
+        half_turn = [float(x) for x in power(rotation(14), 7)]
+        assert kronecker_involution_failure(gp(GpParams(14, 3)), half_turn) == (
+            "not a vertex permutation of g"
+        )
+
 
 class TestQuotient:
     def test_prism_quotient(self):
@@ -146,3 +155,15 @@ class TestQuotient:
         g = gp(GpParams(12, 5))
         with pytest.raises(NotKroneckerInvolution, match="color-reversing"):
             quotient(g, power(rotation(12), 6))
+
+    def test_float_permutation_refused(self):
+        half_turn = [float(x) for x in power(rotation(6), 3)]
+        with pytest.raises(NotKroneckerInvolution, match="not a vertex permutation of g"):
+            quotient(gp(GpParams(6, 1)), half_turn)
+
+    def test_one_edge_per_pair_of_preimages(self):
+        for nk, p in [((6, 1), power(rotation(6), 3)),
+                      ((12, 5), from_triple(12, 5, WordTriple(6, 0, 1))),
+                      ((24, 7), from_triple(24, 7, WordTriple(12, 1, 1)))]:
+            g = gp(GpParams(*nk))
+            assert len(quotient(g, p).edges) == len(g.edges) // 2

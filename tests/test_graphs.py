@@ -27,11 +27,11 @@ from gpcover.graphs import (
     is_connected,
     to_dot,
 )
-from gpcover.classify import classify
-from gpcover.families import GpParams, gp
-from gpcover.covers import kronecker_cover, quotient
+from gpcover.classify import Case, classify, involution_family, quotient_lcf
+from gpcover.families import GpParams, gp, lcf
+from gpcover.covers import kronecker_cover, natural_swap, quotient
 from gpcover.oracle import automorphisms
-from gpcover.perms import from_triple, is_automorphism
+from gpcover.perms import desargues_half_turn, from_triple, is_automorphism
 
 
 def k4():
@@ -169,6 +169,91 @@ class TestGraphMatchesReference:
         for g in (k4(), gp(GpParams(60, 17)), canonical_quotient(420, 29)[1]):
             assert graph(g.vertex_count, g.edges) == Graph(g.vertex_count, g.edges) == g
             assert reference_graph(g.vertex_count, g.edges) == (g.vertex_count, g.edges)
+
+
+def assert_matches_graph(g):
+    """g, built without graph()'s checks, equals graph() of its own edges
+    field for field, with int endpoints and pairs."""
+    expected = graph(g.vertex_count, list(g.edges))
+    assert type(g) is Graph
+    assert [getattr(g, f.name) for f in dataclasses.fields(Graph)] == [
+        getattr(expected, f.name) for f in dataclasses.fields(Graph)
+    ]
+    assert type(g.vertex_count) is int and type(g.edges) is tuple
+    assert all(type(e) is tuple and type(e[0]) is int and type(e[1]) is int for e in g.edges)
+
+
+def built_graphs(n, k):
+    """Every graph the package's builders make from GP(n,k): the graph, its
+    Kronecker cover, its canonical quotient and the quotient along every
+    other covering involution the classifier names, each quotient's
+    materialized closed form, the LCF graph of each involution-family
+    member, and the graph6 round trip of all of these."""
+    p = GpParams(n, k)
+    g = gp(p)
+    c = classify(p)
+    built = [g, kronecker_cover(g)]
+    for desc in c.quotients:
+        via = desargues_half_turn() if desc.via == "delta" else from_triple(n, k, desc.via)
+        built += [quotient(g, via), desc.materialize()]
+    if c.case in (Case.B1, Case.B2):
+        for t in involution_family(p):
+            built += [quotient(g, from_triple(n, k, t)), lcf(quotient_lcf(p, t.a))]
+    return built + [decode_graph6(encode_graph6(b)) for b in built]
+
+
+class TestBuildersMatchGraph:
+    """The package's builders hand valid pairs to graphs._from_pairs, which
+    skips graph()'s checks; graph() on the same edges is the second route."""
+
+    def test_every_gp_to_60(self):
+        for n in range(3, 61):
+            for k in range(1, (n - 1) // 2 + 1):
+                for b in built_graphs(n, k):
+                    assert_matches_graph(b)
+
+    def test_seeded_sample_past_oracle_bound(self):
+        # 20 uniform pairs, 10 half-turn covers and 10 rim-switch covers.
+        rng = random.Random(59)
+        pairs = []
+        for _ in range(20):
+            n = rng.randrange(100, 601)
+            pairs.append((n, rng.randrange(1, (n - 1) // 2 + 1)))
+        for _ in range(10):
+            n = rng.randrange(102, 601, 4)
+            pairs.append((n, rng.randrange(1, (n - 1) // 2 + 1, 2)))
+        rim = [(n, k) for n in range(100, 601, 4) for k in range(1, n // 2, 2)
+               if classify(GpParams(n, k)).case in (Case.B1, Case.B2)]
+        pairs += rng.sample(rim, 10)
+        for n, k in pairs:
+            for b in built_graphs(n, k):
+                assert_matches_graph(b)
+
+    def test_decoded_random_graphs(self):
+        rng = random.Random(99)
+        for _ in range(100):
+            g = random_graph(rng, max_n=70)
+            decoded = decode_graph6(encode_graph6(g))
+            assert_matches_graph(decoded)
+            assert decoded == g
+
+    def test_quotient_of_random_covers_by_the_natural_swap(self):
+        # A connected non-bipartite graph's cover is connected and bipartite,
+        # and the swap v' <-> v'' is a covering involution whose quotient,
+        # with orbits ranked by their least vertex, is the graph itself.
+        rng = random.Random(61)
+        seen = 0
+        for _ in range(200):
+            g = random_graph(rng, max_n=30)
+            if not is_connected(g) or bipartition(g) is not None:
+                continue
+            seen += 1
+            cover = kronecker_cover(g)
+            assert_matches_graph(cover)
+            q = quotient(cover, natural_swap(g.vertex_count))
+            assert_matches_graph(q)
+            assert q == g
+        assert seen > 50
 
 
 class TestConstruction:

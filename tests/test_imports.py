@@ -1,7 +1,8 @@
 """Every module in src/gpcover imports only names it uses, imports the
 package's modules in its header only, builds graphs only through
-``graphs.graph``, defines only public names that something besides its own
-unit tests uses, and memoizes nothing at module level.
+``graphs.graph`` or, in the named builders, ``graphs._from_pairs``, defines
+only public names that something besides its own unit tests uses, and
+memoizes nothing at module level.
 
 No linter is installed, so these walk each module's syntax tree with the
 standard library only.  ``import a.b`` binds ``a`` and ``import a as b``
@@ -108,9 +109,12 @@ def test_detector_flags_function_local_package_imports():
     assert local_package_imports(source) == ["f:4", "f:5", "f:6", "f:10", "h:14"]
 
 
-# Graphs are built only through graphs.graph, so the benchmark's traced
-# graphs.graph counts every construction: no other module calls Graph(...),
-# and graph stays a function of its own rather than an alias of the class.
+# Graphs are built only through graphs.graph, which checks its input, or
+# graphs._from_pairs, which trusts it.  No other module calls Graph(...), and
+# graph stays a function of its own rather than an alias of the class.  Only
+# the builders in TRUSTED_BUILDERS call _from_pairs, each with pairs that are
+# valid by construction, so the benchmark's traced graphs.graph counts the
+# constructions from outside input (and the hand-written H graph).
 
 
 def graph_constructions(source: str) -> list[int]:
@@ -154,6 +158,64 @@ def test_detector_flags_direct_graph_constructions():
         "    return graphs.Graph(n, ()), isinstance(a, Graph), Graph\n"
     )
     assert graph_constructions(source) == [5, 6, 7]
+
+
+TRUSTED_BUILDERS = {
+    "covers.kronecker_cover", "covers.quotient", "families.gp", "families.lcf",
+    "graphs.decode_graph6", "oracle._canonical_edges", "oracle.canonical_form",
+}
+
+
+def unchecked_constructions(source: str) -> list[str]:
+    """The top-level functions and classes that call _from_pairs, by its
+    name, under an import alias or as an attribute
+    (``graphs._from_pairs(...)``), with "<module>" for a call outside any."""
+    tree = ast.parse(source)
+    names = {"_from_pairs"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "_from_pairs" and alias.asname
+    }
+
+    def calls(node) -> bool:
+        return any(
+            isinstance(sub, ast.Call)
+            and getattr(sub.func, "id", getattr(sub.func, "attr", None)) in names
+            for sub in ast.walk(node)
+        )
+
+    return [getattr(node, "name", "<module>") for node in tree.body if calls(node)]
+
+
+def test_only_the_trusted_builders_skip_the_checks():
+    found = {
+        f"{p.stem}.{name}"
+        for p in MODULES
+        for name in unchecked_constructions(p.read_text())
+    }
+    assert found == TRUSTED_BUILDERS
+
+
+def test_detector_names_every_unchecked_construction():
+    source = (
+        "from .graphs import _from_pairs, _from_pairs as trusted, graph\n"
+        "from . import graphs\n"
+        "def direct(n):\n"
+        "    return _from_pairs(n, [])\n"
+        "def aliased(n):\n"
+        "    def inner():\n"
+        "        return trusted(n, [])\n"
+        "    return inner()\n"
+        "def checked(n):\n"
+        "    return graph(n, [])\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        return graphs._from_pairs(0, ())\n"
+        "EMPTY = _from_pairs(0, ())\n"
+    )
+    assert unchecked_constructions(source) == ["direct", "aliased", "C", "<module>"]
 
 
 # Public names kept without a caller, each for a stated reason.

@@ -15,6 +15,7 @@ from gpcover.perms import (
     identity,
     inverse,
     is_automorphism,
+    is_permutation,
     power,
     reflection,
     rim_swap,
@@ -120,6 +121,20 @@ class TestGenerators:
 
     def test_non_permutation_is_not_automorphism(self):
         assert not is_automorphism(gp(GpParams(5, 2)), (0,) * 10)
+
+    @pytest.mark.parametrize("convert", [float, str])
+    def test_non_integer_entries_are_not_automorphism(self, convert):
+        half_turn = power(rotation(6), 3)
+        assert is_automorphism(gp(GpParams(6, 1)), half_turn)
+        assert not is_permutation([convert(x) for x in half_turn])
+        assert not is_automorphism(gp(GpParams(6, 1)), [convert(x) for x in half_turn])
+
+    @pytest.mark.parametrize("dtype", ["int64", "uint16"])
+    def test_integer_like_entries_are_a_permutation(self, dtype):
+        make = getattr(pytest.importorskip("numpy"), dtype)
+        half_turn = power(rotation(6), 3)
+        assert is_permutation([make(x) for x in half_turn])
+        assert is_automorphism(gp(GpParams(6, 1)), [make(x) for x in half_turn])
 
     def test_dihedral_relations(self):
         for n, k in [(6, 1), (9, 2), (14, 3)]:
