@@ -106,7 +106,12 @@ def family_shifts(n: int, k: int) -> list[int]:
 @dataclass(frozen=True)
 class QuotientDesc:
     """Symbolic quotient: a GP graph, a ring-plus-matching LCF graph, or
-    the apex graph H."""
+    the apex graph H.
+
+    A description refuses a range it could never build: GP and C+/C- take
+    an (n, k) that :class:`GpParams` accepts, C+/C- also an even n, and H
+    neither.  Degenerate C+/C- jumps still make a spec, which :func:`lcf`
+    refuses."""
 
     kind: str  # "gp" | "cplus" | "cminus" | "h"
     n: int = 0
@@ -118,8 +123,13 @@ class QuotientDesc:
             raise ValueError(f"unknown quotient kind {self.kind!r}")
         for name in ("n", "k"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.kind == "h" and (self.n or self.k):
-            raise ValueError(f"quotient kind 'h' takes no n or k, got n={self.n}, k={self.k}")
+        if self.kind == "h":
+            if self.n or self.k:
+                raise ValueError(f"quotient kind 'h' takes no n or k, got n={self.n}, k={self.k}")
+            return
+        GpParams(self.n, self.k)  # the range every other kind is built on
+        if self.kind != "gp" and self.n % 2:
+            raise ValueError(f"n must be even, got {self.n}")
 
     def label(self) -> str:
         if self.kind == "gp":
@@ -134,9 +144,6 @@ class QuotientDesc:
         family = _FAMILY_OF_KIND.get(self.kind)
         if family is None:
             return None
-        GpParams(self.n, self.k)  # validates n and k
-        if self.n % 2:
-            raise ValueError(f"n must be even, got {self.n}")
         return rim_jumps(self.n, self.n // 2, family.step(self.k))
 
     def materialize(self) -> Graph:

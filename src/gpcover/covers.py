@@ -10,7 +10,7 @@ from operator import eq
 from typing import Optional, Sequence
 
 from .graphs import Graph, _from_pairs, _search
-from .perms import Perm, is_automorphism, is_permutation
+from .perms import Perm, _maps_edges_into, is_permutation
 
 
 class NotKroneckerInvolution(ValueError):
@@ -46,7 +46,7 @@ def kronecker_involution_failure(g: Graph, p: Sequence[int]) -> Optional[str]:
         return "graph is not connected"
     if colors is None:
         return "graph is not bipartite"
-    if not is_automorphism(g, p):
+    if not _maps_edges_into(g, p, g):  # p is a permutation, checked above
         return "not an automorphism"
     if any(p[p[x]] != x for x in range(g.vertex_count)):
         return "not an involution"
@@ -72,9 +72,7 @@ def quotient(g: Graph, p: Perm) -> Graph:
     failure = kronecker_involution_failure(g, p)
     if failure is not None:
         raise NotKroneckerInvolution(f"not a Kronecker involution: {failure}")
-    reps = [x for x in range(g.vertex_count) if x < p[x]]
-    rank = {x: i for i, x in enumerate(reps)}
-    orbit = [rank[x if x < y else y] for x, y in enumerate(p)]
+    orbit = _orbits(p)
     colors = _search(g)[1]
     # p passed the clause checker, so the edge {orbit(x), orbit(y)} has just
     # the two preimages {x, y} and {p(x), p(y)}, and colour reversal makes
@@ -85,4 +83,28 @@ def quotient(g: Graph, p: Perm) -> Graph:
         a, b = (orbit[v], orbit[u]) if colors[u] else (orbit[u], orbit[v])
         if a < b:
             edges.append((a, b))
-    return _from_pairs(len(reps), edges)
+    return _from_pairs(g.vertex_count // 2, edges)
+
+
+def _orbits(p: Sequence[int]) -> list[int]:
+    """Each vertex's orbit {x, p(x)} under the fixed-point-free involution
+    p, labelled by the rank of the orbit's minimum element: the vertex
+    labelling of :func:`quotient`."""
+    orbit = [0] * len(p)
+    rank = 0
+    for x, y in enumerate(p):
+        if x < y:
+            orbit[x] = orbit[y] = rank
+            rank += 1
+    return orbit
+
+
+def _cover_map(g: Graph, p: Sequence[int]) -> list[int]:
+    """phi(x) = orbit(x) + n0 * colour(x) on the bipartite graph g, with
+    n0 = |V(g)| / 2.  For a covering involution p of g it is an isomorphism
+    of g onto ``kronecker_cover(quotient(g, p))``: an edge {x, y} of g with
+    colour-0 end x goes to {orbit(x), orbit(y) + n0}, the cover's edge over
+    the quotient edge {orbit(x), orbit(y)}.  For any other p it need not
+    even be a bijection, so a caller that takes it as a witness checks it."""
+    n0 = len(p) // 2
+    return [o + n0 * c for o, c in zip(_orbits(p), _search(g)[1])]

@@ -34,10 +34,14 @@ individualization and refinement per image of that vertex not yet decided
 by the automorphisms found so far, each followed by a search that stops at
 its first leaf.  Covering involutions come from the same loop in a pruned
 mode that applies the involution clauses at every node, with the graph's
-own 2-coloring as the sides, so it never enumerates the rest of the group;
-each result still passes the clause checker in ``covers`` and is kept on
-the graph.  Enumerating the whole group and filtering it is the independent
-route that the tests compare against.
+own 2-coloring as the sides, so it never enumerates the rest of the group.
+Below the first vertex r's image x0 that mode also keeps distances: an
+involutive automorphism swaps r and x0, so it sends u to a vertex x with
+dist(x0, x) = dist(r, u) and dist(r, x) = dist(x0, u), which one
+breadth-first row from r and one from each x0 decide.  Each result still
+passes the clause checker in ``covers`` and is kept on the graph.
+Enumerating the whole group and filtering it is the independent route that
+the tests compare against.
 
 Every search refuses a graph with more vertices than :func:`vertex_bound`,
 which only ``GPCOVER_ORACLE_BOUND`` sets (default 120).  Sweeps call
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (
@@ -260,6 +265,20 @@ def _join(uf: list[int], gamma: Sequence[int]) -> None:
                 uf[rx] = ry
 
 
+def _distances(adj: Sequence[Sequence[int]], source: int) -> list[int]:
+    """Breadth-first distances from source; -1 for an unreachable vertex."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # queue grows as the search visits
+        d = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = d
+                queue.append(w)
+    return dist
+
+
 def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
     """The automorphisms of g that map the cells of the partition domain onto
     the cells of the partition image at the same starts, yielded as found.
@@ -281,7 +300,12 @@ def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
     and choosing u -> x also fixes x -> u.  Because the partial map is then
     an involution on the mapped vertices, the bitmask test for u covers x's
     edges as well, so a vertex fixed as a partner is skipped at its BFS turn
-    instead of branched on.
+    instead of branched on.  Once the first vertex r has its image x0, every
+    later u -> x must also keep distances to both: dist(x0, x) = dist(r, u),
+    since an automorphism sends r to x0, and dist(r, x) = dist(x0, u), since
+    an involution sends x0 back to r.  That takes one breadth-first row from
+    r and one from each root image when it is chosen; an unreachable vertex
+    has distance -1 on both sides, so disconnected graphs stay exact.
 
     The search keeps its own stack, so its depth is not limited by Python's
     recursion limit."""
@@ -297,6 +321,14 @@ def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
         # An image keeps the refinement cell and flips the side.
         have = [2 * have[v] + sides[v] for v in range(n)]
         want = [2 * start[v] + 1 - sides[v] for v in range(n)]
+        # Below a root image x0 the keys also hold the distances to r and
+        # to x0, each -1..n-1, as two digits in base n + 1:
+        # have[x] = (have[x] * base + dist(x0, x)) * base + dist(r, x), and
+        # want[u] the same with dist(r, u) and dist(x0, u).
+        base = n + 1
+        from_root = _distances(adj, bfs_order[0])
+        have_r = [h * base * base + d for h, d in zip(have, from_root)]
+        want_r = [(w * base + d) * base for w, d in zip(want, from_root)]
     pos = [0] * n
     for t, u in enumerate(bfs_order):
         pos[u] = t
@@ -356,6 +388,10 @@ def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
         if pairs:
             mapping[x] = u
             used |= bit[u]
+            if t == 0:
+                from_x = _distances(adj, x)
+                have = [h + base * d for h, d in zip(have_r, from_x)]
+                want = list(map(add, want_r, from_x))
         t += 1
 
 
@@ -387,7 +423,12 @@ def automorphisms(g: Graph, *, involutions: bool = False) -> list[Perm]:
     vertex to the other side, and map no vertex to itself or to a neighbor.
     They come from one search over the coarsest equitable partition that
     applies those clauses at every node, so the rest of the group is never
-    enumerated.
+    enumerated.  Once r has its image x0, that search also keeps every
+    vertex's distances to r and x0, swapped: u may go to x only if
+    dist(x0, x) = dist(r, u) and dist(r, x) = dist(x0, u), with -1 for an
+    unreachable vertex, so a disconnected graph is searched exactly too.
+    The whole-group mode has no such test; there the BFS order and the
+    neighbourhood test already force those distances.
     """
     n = g.vertex_count
     check_bound(n)

@@ -171,9 +171,14 @@ def is_automorphism(g: Graph, p: Sequence[int]) -> bool:
         raise ValueError(
             f"permutation length {len(p)} != vertex count {g.vertex_count}"
         )
-    if not is_permutation(p):
-        return False
-    edge_set = set(g.edges)
+    return is_permutation(p) and _maps_edges_into(g, p, g)
+
+
+def _maps_edges_into(g: Graph, p: Sequence[int], h: Graph) -> bool:
+    """Whether the vertex map p sends every edge of g to an edge of h.  The
+    caller has checked what p must be: with g = h and p a permutation, this
+    makes p an automorphism."""
+    edge_set = set(h.edges)
     for u, v in g.edges:
         pu, pv = p[u], p[v]
         if ((pu, pv) if pu < pv else (pv, pu)) not in edge_set:

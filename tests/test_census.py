@@ -1,14 +1,20 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from gpcover.oracle import SearchBoundExceeded, is_isomorphic
+from gpcover.oracle import SearchBoundExceeded, is_isomorphic, kronecker_involutions
 
 from gpcover.classify import Case, Classification, QuotientDesc
+from gpcover.covers import _cover_map, kronecker_cover, kronecker_involution_failure, quotient
+from gpcover.families import GpParams, gp
+from gpcover.graphs import graph
+from gpcover.perms import WordTriple, from_triple
 from gpcover.census import (
     CSV_COLUMNS,
     _compare,
+    _round_trip,
     census,
     rows_to_csv,
     rows_to_json,
@@ -233,3 +239,74 @@ class TestVerify:
         check = next(ch for ch in _compare(c)[1] if ch.name == "quotient_iso[C-(8,3)]")
         assert not check.passed
         assert check.detail == "invalid LCF spec: zero jump at positions [1, 3, 5, 7]"
+
+
+def bipartite_gp_params(n_max):
+    return [GpParams(n, k) for n in range(4, n_max + 1, 2) for k in range(1, n // 2, 2)]
+
+
+def relabeled(g, perm):
+    return graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+class TestRoundTripWitness:
+    """``_round_trip`` proves K(cls) = g with the map of ``_cover_map``; the
+    oracle's isomorphism test is the second route."""
+
+    def test_every_covering_involution_gives_a_checked_isomorphism(self):
+        rng = random.Random(21)
+        seen = 0
+        for p in bipartite_gp_params(60):
+            g = gp(p)
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            h = relabeled(g, perm)
+            inverse = [0] * len(perm)
+            for x, y in enumerate(perm):
+                inverse[y] = x
+            for w in kronecker_involutions(g):
+                # w conjugated by the relabelling is a covering involution of h.
+                w_h = tuple(perm[w[inverse[y]]] for y in range(len(perm)))
+                for x, v in ((g, w), (h, w_h)):
+                    cover = kronecker_cover(quotient(x, v))
+                    phi = _cover_map(x, v)
+                    assert relabeled(x, phi) == cover, (p, v)
+                    assert _round_trip(x, [v], cover), (p, v)
+                    assert is_isomorphic(cover, x), (p, v)
+                seen += 1
+        assert seen == 219  # every covering involution with n <= 60
+
+    def test_class_with_the_wrong_vertex_count_fails(self):
+        g = gp(GpParams(12, 5))
+        involutions = kronecker_involutions(g)
+        cls = quotient(g, involutions[0])
+        assert _round_trip(g, involutions, kronecker_cover(cls))
+        # One isolated vertex more: equal edge counts, two vertices more.
+        padded = kronecker_cover(graph(cls.vertex_count + 1, cls.edges))
+        assert len(padded.edges) == len(g.edges)
+        assert not _round_trip(g, involutions, padded)
+        assert not is_isomorphic(padded, g)
+
+    def test_forged_cover_with_equal_counts_fails(self):
+        g = gp(GpParams(12, 5))
+        forged = gp(GpParams(12, 1))
+        assert (forged.vertex_count, len(forged.edges)) == (g.vertex_count, len(g.edges))
+        assert not _round_trip(g, kronecker_involutions(g), forged)
+        assert not is_isomorphic(forged, g)
+
+    def test_map_that_keeps_colours_gives_no_bijection(self):
+        # alpha^6 on GP(12,5) is a fixed-point-free involutive automorphism
+        # that keeps each vertex's colour, so x and its image share both
+        # orbit and colour, and phi sends them to one vertex.
+        g = gp(GpParams(12, 5))
+        w = from_triple(12, 5, WordTriple(6, 0, 0))
+        assert kronecker_involution_failure(g, w) == "not color-reversing"
+        assert sorted(_cover_map(g, w)) != list(range(24))
+        cover = kronecker_cover(quotient(g, kronecker_involutions(g)[0]))
+        assert not _round_trip(g, [w], cover)
+        assert _round_trip(g, [w] + kronecker_involutions(g), cover)
+
+    def test_no_involution_gives_no_witness(self):
+        g = gp(GpParams(12, 5))
+        cover = kronecker_cover(quotient(g, kronecker_involutions(g)[0]))
+        assert not _round_trip(g, [], cover)

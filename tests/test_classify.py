@@ -242,3 +242,22 @@ class TestQuotientDesc:
         with pytest.raises(ValueError, match=f"quotient kind 'h' takes no n or k, got n={n}, k={k}"):
             QuotientDesc("h", n, k)
         assert QuotientDesc("h", 0, 0) == QuotientDesc("h")
+
+    @pytest.mark.parametrize("args, message", [
+        (("gp", -1, 7), "n must be at least 3, got -1"),
+        (("cplus",), "n must be at least 3, got 0"),
+        (("cminus", 12, 6), "k=6 violates k < n/2 for n=12"),
+        (("gp", 7, 0), "k must be at least 1, got 0"),
+        (("cplus", 7, 2), "n must be even, got 7"),
+    ])
+    def test_unbuildable_range_refused_before_any_label(self, args, message):
+        # A description that materialize() could never build does not exist,
+        # so it cannot label itself GP(-1,7) or C+(0,0).
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QuotientDesc(*args)
+
+    def test_degenerate_jumps_still_surface_in_lcf(self):
+        desc = QuotientDesc("cminus", 8, 3)
+        assert desc.label() == "C-(8,3)"
+        with pytest.raises(ValueError, match="zero jump"):
+            desc.materialize()

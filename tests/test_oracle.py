@@ -484,11 +484,72 @@ class TestKroneckerInvolutions:
         assert kronecker_involutions(g) == expected
 
     def test_pruned_search_matches_filtered_group(self):
-        for n in range(3, 33):
+        # Up to the full oracle bound, on each GP(n,k) and, where the search
+        # runs, on a relabelled copy, whose BFS root and root images differ
+        # from the plain ones.  A covering involution swaps vertex 0 with
+        # another vertex, which skips most of the group before the checker.
+        rng = random.Random(21)
+        for n in range(3, 61):
             for k in range(1, (n - 1) // 2 + 1):
                 g = gp(GpParams(n, k))
-                expected = [p for p in automorphisms(g) if is_kronecker_involution(g, p)]
-                assert kronecker_involutions(g) == expected, (n, k)
+                perm = list(range(2 * n))
+                rng.shuffle(perm)
+                bipartite = n % 2 == 0 and k % 2 == 1
+                for x in (g, relabeled(g, perm)) if bipartite else (g,):
+                    expected = [p for p in automorphisms(x)
+                                if p[0] and not p[p[0]] and is_kronecker_involution(x, p)]
+                    assert kronecker_involutions(x) == expected, (n, k)
+
+    @pytest.mark.parametrize("nk", [(4, 1), (6, 1), (8, 1), (8, 3), (10, 1), (14, 1)])
+    def test_involution_mode_on_disconnected_covers(self, nk):
+        # The cover of a bipartite GP(n,k) is two copies of it, so every
+        # vertex of the other copy is at distance -1 from the root and its
+        # images.  The candidates still equal the filtered whole group.
+        g = kronecker_cover(gp(GpParams(*nk)))
+        perm = list(range(g.vertex_count))
+        random.Random(nk[0]).shuffle(perm)
+        for x in (g, relabeled(g, perm)):
+            assert len(connected_components(x)) == 2
+            expected = side_swapping_involutions(x, bipartition(x), automorphisms(x))
+            assert automorphisms(x, involutions=True) == expected, nk
+
+    @staticmethod
+    def count_neighbourhood_tests(monkeypatch):
+        """Count the involution search's neighbourhood bitmask lookups: one
+        per node entered and one per candidate image that passed the cell,
+        side and distance keys."""
+        calls = [0]
+
+        class Counted(tuple):
+            def __getitem__(self, i):
+                calls[0] += 1
+                return tuple.__getitem__(self, i)
+
+        masks = oracle.adjacency_masks
+        monkeypatch.setattr(oracle, "adjacency_masks", lambda g: Counted(masks(g)))
+        return calls
+
+    @pytest.mark.parametrize("nk, ceiling", [
+        ((60, 21), 5_300),    # 720,054 without the distance invariant
+        ((60, 19), 8_500),    # 717,742
+        ((54, 21), 49_000),   # 88,502
+        ((58, 17), 13_500),   # 104,751
+        ((60, 11), 6_600),    # 50,324
+        ((24, 5), 400),       # 1,371
+    ])
+    def test_distance_invariant_prunes_the_involution_search(self, monkeypatch, nk,
+                                                             ceiling):
+        calls = self.count_neighbourhood_tests(monkeypatch)
+        automorphisms(gp(GpParams(*nk)), involutions=True)
+        assert calls[0] <= ceiling, calls[0]
+
+    def test_distance_invariant_prunes_the_full_bound_sweep(self, monkeypatch):
+        # Every GP(n,k) with n <= 60: 13.8 M lookups without the invariant.
+        calls = self.count_neighbourhood_tests(monkeypatch)
+        for n in range(3, 61):
+            for k in range(1, (n - 1) // 2 + 1):
+                automorphisms(gp(GpParams(n, k)), involutions=True)
+        assert calls[0] <= 770_000, calls[0]
 
     @given(relabeled_small_graphs())
     def test_pruned_search_matches_filter_on_small_graphs(self, case):
@@ -1136,11 +1197,13 @@ class TestQuotientClasses:
 class TestOracleMemos:
     def test_verify_sweep_stays_under_its_search_counts(self, monkeypatch):
         # Every search result is kept on the graph searched.  On this sweep
-        # that runs 60 full and 27 targeted canonical-form searches (on
-        # verify(40) 158/70, on verify(60) 352/149): is_isomorphic searches
-        # its first graph toward the second's certificate and keeps nothing.
-        # The covering involutions are kept on each GP graph, which _compare
-        # asks twice: one search for each of the 30 bipartite (n,k).
+        # that runs 38 full and 4 targeted canonical-form searches (on
+        # verify(40) 97/8, on verify(60) 219/15): one full search per
+        # covering involution's quotient, and the targeted ones for the
+        # symbolic quotients.  The round trip is a checked map and runs
+        # none; an isomorphism test in its place would run 22 full and 23
+        # targeted searches here.  The covering involutions are kept on
+        # each GP graph: one search for each of the 30 bipartite (n,k).
         from gpcover.census import verify
 
         calls = {"full": 0, "targeted": 0, "automorphisms": 0}
@@ -1157,8 +1220,8 @@ class TestOracleMemos:
         monkeypatch.setattr(oracle, "_canonical_search", counted_search)
         monkeypatch.setattr(oracle, "automorphisms", counted_automorphisms)
         assert verify(22).all_passed
-        assert calls["full"] <= 60, calls
-        assert calls["targeted"] <= 27, calls
+        assert calls["full"] <= 38, calls
+        assert calls["targeted"] <= 4, calls
         assert calls["automorphisms"] <= 30, calls
 
     def test_searched_graphs_die_with_their_last_reference(self):
