@@ -241,10 +241,6 @@ class TestVerify:
         assert check.detail == "invalid LCF spec: zero jump at positions [1, 3, 5, 7]"
 
 
-def bipartite_gp_params(n_max):
-    return [GpParams(n, k) for n in range(4, n_max + 1, 2) for k in range(1, n // 2, 2)]
-
-
 def relabeled(g, perm):
     return graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
 
@@ -256,7 +252,7 @@ class TestRoundTripWitness:
     def test_every_covering_involution_gives_a_checked_isomorphism(self):
         rng = random.Random(21)
         seen = 0
-        for p in bipartite_gp_params(60):
+        for p in (GpParams(n, k) for n in range(4, 61, 2) for k in range(1, n // 2, 2)):
             g = gp(p)
             perm = list(range(g.vertex_count))
             rng.shuffle(perm)
@@ -287,6 +283,16 @@ class TestRoundTripWitness:
         assert not _round_trip(g, involutions, padded)
         assert not is_isomorphic(padded, g)
 
+    def test_cover_with_an_edge_more_fails(self):
+        # phi still sends every edge of g to an edge; only the counts differ.
+        g = gp(GpParams(12, 5))
+        cover = kronecker_cover(quotient(g, kronecker_involutions(g)[0]))
+        extra = next((u, v) for u in range(24) for v in range(u + 1, 24)
+                     if (u, v) not in cover.edges)
+        bigger = graph(24, cover.edges + (extra,))
+        assert not _round_trip(g, kronecker_involutions(g), bigger)
+        assert not is_isomorphic(bigger, g)
+
     def test_forged_cover_with_equal_counts_fails(self):
         g = gp(GpParams(12, 5))
         forged = gp(GpParams(12, 1))
@@ -305,6 +311,14 @@ class TestRoundTripWitness:
         cover = kronecker_cover(quotient(g, kronecker_involutions(g)[0]))
         assert not _round_trip(g, [w], cover)
         assert _round_trip(g, [w] + kronecker_involutions(g), cover)
+        # A forged cover that holds every edge image of that phi, padded to
+        # g's edge count: only the bijection test refuses it.
+        phi = _cover_map(g, w)
+        images = {tuple(sorted((phi[u], phi[v]))) for u, v in g.edges}
+        spare = ((u, v) for u in range(24) for v in range(u + 1, 24) if (u, v) not in images)
+        forged = graph(24, sorted(images) + [next(spare) for _ in range(36 - len(images))])
+        assert len(forged.edges) == len(g.edges)
+        assert not _round_trip(g, [w], forged)
 
     def test_no_involution_gives_no_witness(self):
         g = gp(GpParams(12, 5))
