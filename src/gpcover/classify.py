@@ -21,7 +21,7 @@ from math import gcd
 from typing import Optional
 
 from .graphs import Graph, _integer
-from .families import GpParams, LcfSpec, gp, h_graph, lcf, rim_jumps
+from .families import GpParams, LcfSpec, _ring_size, gp, h_graph, lcf, rim_jumps
 from .perms import WordTriple, format_word
 
 
@@ -34,6 +34,7 @@ def two_adic(i: int) -> int:
 
 def q_value(n: int, k: int) -> Optional[int]:
     """(k^2 - 1) / n when n divides k^2 - 1, else None."""
+    _ring_size(n)
     return (k * k - 1) // n if (k * k - 1) % n == 0 else None
 
 
@@ -48,8 +49,13 @@ class Arith:
     a_min_prime: int  # minimal shift of type alpha^a beta gamma: n / gcd(n, n-k+1)
 
 
+def _min_shift(n: int, t: int) -> int:
+    """n / gcd(n, 1 + t), the least a > 0 with (1 + t) a = 0 (mod n)."""
+    return _ring_size(n) // gcd(n, 1 + t)
+
+
 def arith(n: int, k: int) -> Arith:
-    return Arith(n, k, q_value(n, k), n // gcd(n, k + 1), n // gcd(n, n - k + 1))
+    return Arith(n, k, q_value(n, k), _min_shift(n, k), _min_shift(n, -k))
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +73,11 @@ class Case(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# The B-family rule, written once.  k = 1 (mod 4) selects case B1 and the
-# plain words alpha^a gamma, k = 3 (mod 4) case B2 and the reflected words
-# alpha^a beta gamma.  The quotient along shift a has jumps a + i*step:
-# step k - 1 (plain, C+) or -(k + 1) (reflected, C-).
+# The B-family rule, written once.  A family is its words alpha^a beta^b gamma:
+# k = 1 (mod 4) selects case B1 and b = 0, k = 3 (mod 4) case B2 and b = 1.
+# Each word sends u_i to v_{ti+a}, t = (-1)^b k, so the quotient along shift a
+# has jumps a + i(t - 1), i.e. a + i(k - 1) (C+) or a - i(k + 1) (C-), and the
+# shifts are the odd multiples of n / gcd(n, 1 + t) below n.
 
 @dataclass(frozen=True)
 class _BFamily:
@@ -79,12 +86,8 @@ class _BFamily:
     label: str  # quotient label prefix
     b: int      # beta exponent of the words alpha^a beta^b gamma
 
-    def step(self, k: int) -> int:
-        return -(k + 1) if self.b else k - 1
-
-    def min_shift(self, n: int, k: int) -> int:
-        ar = arith(n, k)
-        return ar.a_min_prime if self.b else ar.a_min
+    def jumps(self, n: int, k: int, a: int) -> LcfSpec:
+        return rim_jumps(n, a, WordTriple(a, self.b, 1).step(k) - 1)
 
 
 _FAMILY_OF_K_MOD_4 = {
@@ -99,8 +102,8 @@ def family_shifts(n: int, k: int) -> list[int]:
     selected by k mod 4 (plain for k = 1, reflected for k = 3 mod 4)."""
     if k % 2 == 0:
         raise ValueError("shift families require odd k")
-    m = _FAMILY_OF_K_MOD_4[k % 4].min_shift(n, k)
-    return [s * m for s in range(1, n // m + 1, 2) if s * m < n]
+    m = _min_shift(n, WordTriple(0, _FAMILY_OF_K_MOD_4[k % 4].b, 1).step(k))
+    return list(range(m, n, 2 * m))
 
 
 @dataclass(frozen=True)
@@ -142,9 +145,7 @@ class QuotientDesc:
         """C+/C-(n,k): the family's jumps at a = n/2, returned unvalidated
         so degenerate instances surface in :func:`lcf`."""
         family = _FAMILY_OF_KIND.get(self.kind)
-        if family is None:
-            return None
-        return rim_jumps(self.n, self.n // 2, family.step(self.k))
+        return None if family is None else family.jumps(self.n, self.k, self.n // 2)
 
     def materialize(self) -> Graph:
         if self.kind == "gp":
@@ -228,7 +229,7 @@ def quotient_lcf(p: GpParams, a: int) -> LcfSpec:
     n, k = p.n, p.k
     if a not in family_shifts(n, k):
         raise ValueError(f"shift {a} is not in the involution family of GP({n},{k})")
-    return rim_jumps(n, a, _family_of_b_case(p).step(k))
+    return _family_of_b_case(p).jumps(n, k, a)
 
 
 _SYMMETRIC_PAIRS = frozenset(

@@ -11,6 +11,13 @@ from dataclasses import dataclass
 from .graphs import Graph, _from_pairs, _integer, graph
 
 
+def _ring_size(n: int) -> int:
+    """n as the length of a ring Z_n, which every family here needs >= 3."""
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class GpParams:
     """A validated (n, k) pair: n >= 3 and 1 <= k < n/2."""
@@ -21,8 +28,7 @@ class GpParams:
     def __post_init__(self) -> None:
         for name in ("n", "k"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.n < 3:
-            raise ValueError(f"n must be at least 3, got {self.n}")
+        _ring_size(self.n)
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if 2 * self.k >= self.n:
@@ -43,9 +49,7 @@ class LcfSpec:
     jumps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integer("n", self.n))
-        if self.n < 3:
-            raise ValueError(f"n must be at least 3, got {self.n}")
+        object.__setattr__(self, "n", _ring_size(_integer("n", self.n)))
         jumps = tuple(_integer(f"jumps[{i}]", j) for i, j in enumerate(self.jumps))
         object.__setattr__(self, "jumps", jumps)
         if len(self.jumps) != self.n:

@@ -1,10 +1,12 @@
 """Permutations on GP vertex sets and the standard symmetry generators.
 
 Permutations are tuples `image` with image[i] the image of vertex i.
-Composition is right-to-left: compose(p, q) applies q first.  With that
-convention the rim-switching map alpha^a gamma sends u_i to v_{ki+a},
-i.e. index arithmetic i -> ki + a, which is the form all the shift
-formulas in :mod:`gpcover.classify` are written in.
+Composition is right-to-left: compose(p, q) applies q first.  On the
+labeling u_i -> i, v_i -> n+i, every word alpha^a beta^b gamma^c is one
+affine map: it sends index i to t*i + a on both rims, with step
+t = (-1)^b k^c, and swaps the rims iff c = 1.  So alpha^a gamma sends u_i
+to v_{ki+a}, the form all the shift formulas in :mod:`gpcover.classify`
+are written in.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Sequence
 
+from .families import _ring_size
 from .graphs import Graph, _integer
 
 Perm = tuple[int, ...]
@@ -59,37 +62,6 @@ def power(p: Perm, m: int) -> Perm:
     return result
 
 
-# ---------------------------------------------------------------------------
-# Generators on GP(n,k) under the labeling u_i -> i, v_i -> n+i.
-
-def rotation(n: int) -> Perm:
-    """alpha: u_i -> u_{i+1}, v_i -> v_{i+1}."""
-    return tuple((i + 1) % n for i in range(n)) + tuple(
-        n + (i + 1) % n for i in range(n)
-    )
-
-
-def reflection(n: int) -> Perm:
-    """beta: u_i -> u_{-i}, v_i -> v_{-i}."""
-    return tuple(-i % n for i in range(n)) + tuple(n + (-i % n) for i in range(n))
-
-
-def _gamma_valid(n: int, k: int) -> bool:
-    return (k * k) % n in (1 % n, (n - 1) % n)
-
-
-def rim_swap(n: int, k: int) -> Perm:
-    """gamma: u_i -> v_{ki}, v_i -> u_{ki}; an automorphism iff k^2 = +-1 (mod n)."""
-    if not _gamma_valid(n, k):
-        raise ValueError(
-            f"rim swap is not an automorphism of GP({n},{k}): "
-            f"k^2 = {k * k % n} is not +-1 (mod {n})"
-        )
-    return tuple(n + (k * i) % n for i in range(n)) + tuple(
-        (k * i) % n for i in range(n)
-    )
-
-
 # The Desargues graph GP(10,3) redrawn as C6 x P3 (Cartesian) with the middle
 # hexagon's edges removed and two apex vertices joined alternately to it has
 # an evident symmetry: rotate the prism part half a turn and swap the apexes.
@@ -107,7 +79,7 @@ def desargues_half_turn() -> Perm:
 
 
 # ---------------------------------------------------------------------------
-# Canonical words alpha^a beta^b gamma^c.
+# Canonical words alpha^a beta^b gamma^c, the generators among them.
 
 @dataclass(frozen=True)
 class WordTriple:
@@ -123,18 +95,41 @@ class WordTriple:
         if self.b not in (0, 1) or self.c not in (0, 1):
             raise ValueError("b and c must be 0 or 1")
 
+    def step(self, k: int) -> int:
+        """t = (-1)^b k^c, the factor in the word's action i -> t*i + a."""
+        return (-1 if self.b else 1) * (k if self.c else 1)
+
+
+def _affine(n: int, t: int, a: int, swap: bool) -> Perm:
+    """The one materialization of a word: i -> t*i + a on both rims, swapped iff swap."""
+    _ring_size(n)
+    ring = [(t * i + a) % n for i in range(n)]
+    other = [n + i for i in ring]
+    return tuple(other + ring if swap else ring + other)
+
 
 def from_triple(n: int, k: int, t: WordTriple) -> Perm:
     """Evaluate alpha^a beta^b gamma^c as a permutation of the 2n GP vertices."""
-    if t.c and not _gamma_valid(n, k):
-        raise ValueError(f"gamma unavailable: k^2 must be +-1 (mod {n})")
+    perm = _affine(n, t.step(k), t.a, bool(t.c))  # refuses n < 3 before the test
+    if t.c and k * k % n not in (1, n - 1):
+        raise ValueError(f"gamma is not an automorphism of GP({n},{k}): "
+                         f"k^2 = {k * k % n} is not +-1 (mod {n})")
+    return perm
 
-    # gamma^c, then beta^b, then alpha^a send index i to step * i + a, with
-    # step = +-k^c; gamma also swaps the rims.
-    step = (k if t.c else 1) * (-1 if t.b else 1)
-    ring = [(step * i + t.a) % n for i in range(n)]
-    other = [n + i for i in ring]
-    return tuple(other + ring if t.c else ring + other)
+
+def rotation(n: int) -> Perm:
+    """alpha: u_i -> u_{i+1}, v_i -> v_{i+1}."""
+    return _affine(n, 1, 1, False)
+
+
+def reflection(n: int) -> Perm:
+    """beta: u_i -> u_{-i}, v_i -> v_{-i}."""
+    return _affine(n, -1, 0, False)
+
+
+def rim_swap(n: int, k: int) -> Perm:
+    """gamma: u_i -> v_{ki}, v_i -> u_{ki}; an automorphism iff k^2 = +-1 (mod n)."""
+    return from_triple(n, k, WordTriple(0, 0, 1))
 
 
 def format_word(t: WordTriple | str, ascii_only: bool = False) -> str:

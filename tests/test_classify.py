@@ -261,3 +261,81 @@ class TestQuotientDesc:
         assert desc.label() == "C-(8,3)"
         with pytest.raises(ValueError, match="zero jump"):
             desc.materialize()
+
+
+@pytest.mark.parametrize("compute, n", [
+    (lambda n: family_shifts(n, 1), 0),
+    (lambda n: family_shifts(n, 1), -4),
+    (lambda n: family_shifts(n, 3), 2),
+    (lambda n: q_value(n, 3), 0),
+    (lambda n: arith(n, 3), 0),
+], ids=["family_shifts", "family_shifts_negative", "family_shifts_reflected", "q_value", "arith"])
+def test_shift_arithmetic_refuses_fewer_than_3_vertices_per_rim(compute, n):
+    with pytest.raises(ValueError, match=re.escape(f"n must be at least 3, got {n}")):
+        compute(n)
+
+
+# The shift and jump formulas as they were written before the B families
+# read their step from the word: step k - 1 and minimal shift n/gcd(n, k+1)
+# for k = 1 (mod 4), step -(k + 1) and n/gcd(n, n-k+1) for k = 3 (mod 4).
+
+def reference_shifts(n, k):
+    m = n // gcd(n, k + 1) if k % 4 == 1 else n // gcd(n, n - k + 1)
+    return [s * m for s in range(1, n // m + 1, 2) if s * m < n]
+
+
+def reference_jumps(n, a, step):
+    return tuple((a + i * step) % n for i in range(n))
+
+
+class TestShiftsMatchReference:
+    def test_arith_and_family_shifts_up_to_200(self):
+        for n in range(3, 201):
+            for k in range(1, n):
+                q = (k * k - 1) // n if (k * k - 1) % n == 0 else None
+                expected = (n, k, q, n // gcd(n, k + 1), n // gcd(n, n - k + 1))
+                ar = arith(n, k)
+                assert (ar.n, ar.k, ar.q, ar.a_min, ar.a_min_prime) == expected
+                if k % 2:
+                    assert family_shifts(n, k) == reference_shifts(n, k), (n, k)
+
+    def test_c_quotient_specs_up_to_200(self):
+        for n in range(4, 201, 2):
+            for k in range(1, (n - 1) // 2 + 1):
+                plus, minus = QuotientDesc("cplus", n, k), QuotientDesc("cminus", n, k)
+                assert plus.spec().jumps == reference_jumps(n, n // 2, k - 1), (n, k)
+                assert minus.spec().jumps == reference_jumps(n, n // 2, -(k + 1)), (n, k)
+
+    def test_families_and_their_quotients_up_to_200(self):
+        instances = b_instances(200)
+        assert len(instances) > 50
+        for p in instances:
+            n, k = p.n, p.k
+            b, step = (0, k - 1) if k % 4 == 1 else (1, -(k + 1))
+            family = involution_family(p)
+            assert family == [WordTriple(a, b, 1) for a in reference_shifts(n, k)], p
+            for t in family:
+                assert quotient_lcf(p, t.a).jumps == reference_jumps(n, t.a, step), (p, t)
+
+
+def test_count_formula_as_data_up_to_2000():
+    # A B family has gcd(n, 1 + t)/2 words, t = (-1)^b k their step.  The
+    # paper's gcd(n, k+1)/2 is that count for B1 (t = k) only: it fails on
+    # every B2 instance, from GP(24,7) on.
+    instances = {Case.B1: [], Case.B2: []}
+    failures = {Case.B1: [], Case.B2: []}
+    for n in range(4, 2001, 4):
+        for k in range(1, n // 2, 2):
+            if (k * k - 1) % n:  # every B instance has k^2 = 1 (mod n)
+                continue
+            case = classify(GpParams(n, k)).case
+            if case not in instances:
+                continue
+            family = involution_family(GpParams(n, k))
+            assert len(family) == gcd(n, 1 + family[0].step(k)) // 2, (n, k)
+            instances[case].append((n, k))
+            if len(family) != gcd(n, k + 1) // 2:
+                failures[case].append((n, k))
+    assert len(instances[Case.B1]) == 1161 and failures[Case.B1] == []
+    assert len(instances[Case.B2]) == 410 and failures[Case.B2] == instances[Case.B2]
+    assert failures[Case.B2][:4] == [(24, 7), (56, 15), (60, 11), (60, 19)]

@@ -238,3 +238,64 @@ class TestWordTriples:
     def test_format_word_unknown_special_rejected(self):
         with pytest.raises(ValueError, match="unknown special word 'gamma'"):
             format_word("gamma")
+
+
+@pytest.mark.parametrize("build, n", [
+    (lambda n: rotation(n), -2),
+    (lambda n: reflection(n), 2),
+    (lambda n: rim_swap(n, 1), 0),
+    (lambda n: from_triple(n, 1, WordTriple(0, 0, 1)), 0),
+    (lambda n: from_triple(n, 1, WordTriple(1, 1, 0)), 1),
+], ids=["rotation", "reflection", "rim_swap", "gamma", "alpha_beta"])
+def test_words_refuse_fewer_than_3_vertices_per_rim(build, n):
+    with pytest.raises(ValueError, match=re.escape(f"n must be at least 3, got {n}")):
+        build(n)
+
+
+# The generators and words as they were written before they shared one
+# affine materialization: each generator applied to a vertex (rim, index) in
+# turn, gamma first, then beta, then alpha^a.
+
+def reference_word(n, k, a, b, c):
+    def image(x):
+        rim, i = divmod(x, n)
+        if c:
+            rim, i = 1 - rim, k * i % n
+        if b:
+            i = -i % n
+        return rim * n + (i + a) % n
+    return tuple(image(x) for x in range(2 * n))
+
+
+def gamma_steps(n):
+    """Every k in 1..n-1 with k^2 = +-1 (mod n), for which gamma exists."""
+    return [k for k in range(1, n) if k * k % n in (1, n - 1)]
+
+
+class TestWordsMatchReference:
+    def test_generators_up_to_200(self):
+        for n in range(3, 201):
+            assert rotation(n) == reference_word(n, 1, 1, 0, 0), n
+            assert reflection(n) == reference_word(n, 1, 0, 1, 0), n
+            for k in gamma_steps(n):
+                assert rim_swap(n, k) == reference_word(n, k, 0, 0, 1), (n, k)
+
+    def test_words_up_to_200(self):
+        for n in range(3, 201):
+            for a in {0, 1, n // 2, n - 1}:
+                for b in (0, 1):
+                    # Without gamma a word does not depend on k.
+                    assert from_triple(n, n + 2, WordTriple(a, b, 0)) == reference_word(
+                        n, 1, a, b, 0), (n, a, b)
+                    for k in gamma_steps(n):
+                        assert from_triple(n, k, WordTriple(a, b, 1)) == reference_word(
+                            n, k, a, b, 1), (n, k, a, b)
+
+    def test_generators_are_automorphisms_of_gp_up_to_60(self):
+        for n in range(3, 61):
+            for k in range(1, (n - 1) // 2 + 1):
+                g = gp(GpParams(n, k))
+                assert is_automorphism(g, rotation(n)), (n, k)
+                assert is_automorphism(g, reflection(n)), (n, k)
+                if k in gamma_steps(n):
+                    assert is_automorphism(g, rim_swap(n, k)), (n, k)
