@@ -8,24 +8,24 @@ the explicit map phi(x) = orbit(x) + n0 * colour(x) onto the cover of the
 class, and the check is that phi is a bijection sending g's edges onto the
 cover's edges.  Row computation is a pure function of (n,k), so rows may be
 computed in parallel worker processes and merged in key order; the emitted
-CSV/JSON is byte-identical either way.
+CSV/JSON is byte-identical either way.  The process pool is imported only
+when a sweep starts workers.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 from functools import partial
 from typing import Optional
 
 from .families import GpParams, gp
 from .classify import Case, Classification, classify
-from .covers import _cover_map, kronecker_cover
+from .covers import _cover_map, kronecker_cover, kronecker_involution_failure
 from .oracle import check_bound, is_isomorphic, kronecker_involutions, quotients_up_to_iso
 from .graphs import Graph, encode_graph6
-from .perms import Perm, _maps_edges_into
+from .perms import Perm, _maps_edges_into, format_word, from_triple
 
 CSV_COLUMNS = (
     "n", "k", "case", "involution", "quotient",
@@ -72,6 +72,10 @@ def _map(fn, keys, jobs: int) -> list:
     process per key."""
     workers = min(jobs, len(keys))
     if workers > 1:
+        # Imported here, not in the header: it loads all of multiprocessing,
+        # which a serial sweep, and so every plain `import gpcover`, never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, keys))
     return [fn(key) for key in keys]
@@ -181,11 +185,11 @@ def _compare(c: Classification) -> tuple[list[Graph], list[VerifyCheck]]:
     involutions = kronecker_involutions(g)
     oracle_cover = bool(involutions)
     classes = quotients_up_to_iso(g)
+    existence = f"classifier={c.covered} oracle={oracle_cover}"
+    if c.covered and not oracle_cover:
+        existence += "; " + _claimed_involution_failure(g, c)
     checks = [
-        VerifyCheck(
-            n, k, "existence", c.covered == oracle_cover,
-            f"classifier={c.covered} oracle={oracle_cover}",
-        ),
+        VerifyCheck(n, k, "existence", c.covered == oracle_cover, existence),
         VerifyCheck(
             n, k, "class_count", len(c.quotients) == len(classes),
             f"classifier={len(c.quotients)} oracle={len(classes)}",
@@ -206,6 +210,21 @@ def _compare(c: Classification) -> tuple[list[Graph], list[VerifyCheck]]:
         detail = "" if ok else "g6:" + encode_graph6(cls)
         checks.append(VerifyCheck(n, k, f"round_trip[{i}]", ok, detail))
     return classes, checks
+
+
+def _claimed_involution_failure(g: Graph, c: Classification) -> str:
+    """The classifier's canonical involution of g, which the oracle says is
+    no covering involution, as its word and the first clause of
+    ``covers.kronecker_involution_failure`` that it fails (or the reason
+    the word names no permutation of g)."""
+    word = c.canonical_involution
+    if word is None:
+        return "no canonical involution named"
+    try:
+        failure = kronecker_involution_failure(g, from_triple(c.n, c.k, word))
+    except ValueError as exc:
+        failure = str(exc)
+    return f"{format_word(word)} {failure or 'passes every clause'}"
 
 
 def _round_trip(g: Graph, involutions: list[Perm], cover: Graph) -> bool:

@@ -34,7 +34,7 @@ def two_adic(i: int) -> int:
 
 def q_value(n: int, k: int) -> Optional[int]:
     """(k^2 - 1) / n when n divides k^2 - 1, else None."""
-    _ring_size(n)
+    n, k = _ring_size(n), _integer("k", k)
     return (k * k - 1) // n if (k * k - 1) % n == 0 else None
 
 
@@ -51,7 +51,8 @@ class Arith:
 
 def _min_shift(n: int, t: int) -> int:
     """n / gcd(n, 1 + t), the least a > 0 with (1 + t) a = 0 (mod n)."""
-    return _ring_size(n) // gcd(n, 1 + t)
+    n = _ring_size(n)
+    return n // gcd(n, 1 + t)
 
 
 def arith(n: int, k: int) -> Arith:
@@ -100,6 +101,7 @@ _FAMILY_OF_KIND = {f.kind: f for f in _FAMILY_OF_K_MOD_4.values()}
 def family_shifts(n: int, k: int) -> list[int]:
     """All shifts a = s * a_min with s odd and a < n, for the shift type
     selected by k mod 4 (plain for k = 1, reflected for k = 3 mod 4)."""
+    k = _integer("k", k)
     if k % 2 == 0:
         raise ValueError("shift families require odd k")
     m = _min_shift(n, WordTriple(0, _FAMILY_OF_K_MOD_4[k % 4].b, 1).step(k))

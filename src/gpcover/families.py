@@ -12,7 +12,8 @@ from .graphs import Graph, _from_pairs, _integer, graph
 
 
 def _ring_size(n: int) -> int:
-    """n as the length of a ring Z_n, which every family here needs >= 3."""
+    """n as the int length of a ring Z_n, which every family here needs >= 3."""
+    n = _integer("n", n)
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
     return n
@@ -49,7 +50,7 @@ class LcfSpec:
     jumps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _ring_size(_integer("n", self.n)))
+        object.__setattr__(self, "n", _ring_size(self.n))
         jumps = tuple(_integer(f"jumps[{i}]", j) for i, j in enumerate(self.jumps))
         object.__setattr__(self, "jumps", jumps)
         if len(self.jumps) != self.n:

@@ -102,7 +102,7 @@ class WordTriple:
 
 def _affine(n: int, t: int, a: int, swap: bool) -> Perm:
     """The one materialization of a word: i -> t*i + a on both rims, swapped iff swap."""
-    _ring_size(n)
+    n = _ring_size(n)
     ring = [(t * i + a) % n for i in range(n)]
     other = [n + i for i in ring]
     return tuple(other + ring if swap else ring + other)
@@ -110,7 +110,8 @@ def _affine(n: int, t: int, a: int, swap: bool) -> Perm:
 
 def from_triple(n: int, k: int, t: WordTriple) -> Perm:
     """Evaluate alpha^a beta^b gamma^c as a permutation of the 2n GP vertices."""
-    perm = _affine(n, t.step(k), t.a, bool(t.c))  # refuses n < 3 before the test
+    k = _integer("k", k)
+    perm = _affine(n, t.step(k), t.a, bool(t.c))  # refuses a bad n before the test
     if t.c and k * k % n not in (1, n - 1):
         raise ValueError(f"gamma is not an automorphism of GP({n},{k}): "
                          f"k^2 = {k * k % n} is not +-1 (mod {n})")

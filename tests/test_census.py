@@ -138,11 +138,9 @@ class TestCensus:
 class TestJobs:
     @pytest.fixture
     def pools(self, monkeypatch):
-        """Replace the process pool with one that records its max_workers
-        and maps serially; returns the recorded values."""
-        import importlib
-
-        census_mod = importlib.import_module("gpcover.census")
+        """Replace the process pool, which ``census._map`` imports from
+        concurrent.futures only when it starts workers, with one that records
+        its max_workers and maps serially; returns the recorded values."""
         created = []
 
         class FakePool:
@@ -158,7 +156,7 @@ class TestJobs:
             def map(self, fn, keys):
                 return map(fn, keys)
 
-        monkeypatch.setattr(census_mod, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         return created
 
     def test_at_most_one_worker_per_row(self, pools):
@@ -239,6 +237,16 @@ class TestVerify:
         check = next(ch for ch in _compare(c)[1] if ch.name == "quotient_iso[C-(8,3)]")
         assert not check.passed
         assert check.detail == "invalid LCF spec: zero jump at positions [1, 3, 5, 7]"
+
+    def test_false_cover_claim_names_the_failed_clause(self):
+        # A forged B1 classification of GP(8,3) whose involution is gamma,
+        # u_i -> v_{3i}: it sends u_0 to its spoke neighbour v_0.
+        c = Classification(8, 3, Case.B1, (QuotientDesc("cplus", 8, 3),), WordTriple(0, 0, 1))
+        check = _compare(c)[1][0]
+        assert (check.name, check.passed) == ("existence", False)
+        assert check.detail == (
+            "classifier=True oracle=False; γ maps a vertex to a neighbor (fixed edge)"
+        )
 
 
 def relabeled(g, perm):

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from gpcover.families import GpParams, gp, lcf
-from gpcover.perms import WordTriple, from_triple
+from gpcover.perms import WordTriple, from_triple, rotation
 from gpcover.covers import is_kronecker_involution
 from gpcover.classify import (
     Case,
@@ -273,6 +273,17 @@ class TestQuotientDesc:
 def test_shift_arithmetic_refuses_fewer_than_3_vertices_per_rim(compute, n):
     with pytest.raises(ValueError, match=re.escape(f"n must be at least 3, got {n}")):
         compute(n)
+
+
+@pytest.mark.parametrize("compute, message", [
+    (lambda: from_triple(12, 5.0, WordTriple(6, 0, 1)), "k 5.0 is not an integer"),
+    (lambda: rotation(3.0), "n 3.0 is not an integer"),
+    (lambda: family_shifts(12.0, 5), "n 12.0 is not an integer"),
+    (lambda: q_value(12, 5.0), "k 5.0 is not an integer"),
+], ids=["from_triple", "rotation", "family_shifts", "q_value"])
+def test_words_and_shifts_refuse_non_integer_parameters(compute, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compute()
 
 
 # The shift and jump formulas as they were written before the B families

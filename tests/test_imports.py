@@ -2,7 +2,8 @@
 package's modules in its header only, builds graphs only through
 ``graphs.graph`` or, in the named builders, ``graphs._from_pairs``, defines
 only public names that something besides its own unit tests uses, and
-memoizes nothing at module level.
+memoizes nothing at module level.  A fresh interpreter that imports the
+package, or runs a serial sweep, loads no process-pool module.
 
 No linter is installed, so these walk each module's syntax tree with the
 standard library only.  ``import a.b`` binds ``a`` and ``import a as b``
@@ -12,7 +13,10 @@ binds ``b``; ``from a import b`` binds ``b``.  ``__init__.py`` is exempt
 """
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -344,3 +348,55 @@ def test_detector_flags_every_memo_spelling():
         "def plain(g): ...\n"
     )
     assert memoized_functions(source) == ["adjacency", "masks", "search", "colors", "size"]
+
+
+# Loading concurrent.futures' process pool pulls in all of multiprocessing,
+# which only a sweep with workers uses, so census._map imports it only then.
+# Each probe runs in a fresh interpreter on this checkout's sources and
+# compares sys.modules with what that interpreter had loaded at start-up, so
+# modules that site-packages' .pth files load do not count.
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def fresh_run(*argv: str) -> subprocess.CompletedProcess:
+    paths = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, check=True, env=env
+    )
+
+
+def pool_modules_loaded_by(statement: str) -> list[str]:
+    """The process-pool modules a fresh interpreter loads to run statement."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    added = ast.literal_eval(fresh_run("-c", script).stdout.splitlines()[-1])
+    return [name for name in added if name.startswith(POOL_MODULES)]
+
+
+@pytest.mark.parametrize("statement", [
+    "import gpcover",
+    "import gpcover.cli",
+    "from gpcover.cli import main; main(['verify', '--max-n', '8'])",
+], ids=["package", "cli", "serial_verify"])
+def test_process_pool_is_not_loaded_without_workers(statement):
+    assert pool_modules_loaded_by(statement) == []
+
+
+def test_probe_sees_the_process_pool_load():
+    loaded = pool_modules_loaded_by("from concurrent.futures import ProcessPoolExecutor")
+    assert "multiprocessing" in loaded and "concurrent.futures.process" in loaded
+
+
+def test_workers_from_a_cold_interpreter_print_the_serial_output():
+    serial, parallel = (
+        fresh_run("-m", "gpcover", "verify", "--max-n", "8", "--jobs", jobs).stdout
+        for jobs in ("1", "2")
+    )
+    assert parallel == serial
+    assert serial.endswith(" checks passed\n")
