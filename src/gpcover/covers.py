@@ -6,10 +6,11 @@ becomes the pair {u, v+n0}, {u+n0, v}.
 """
 from __future__ import annotations
 
+from itertools import chain
 from operator import eq
 from typing import Optional, Sequence
 
-from .graphs import Graph, _from_pairs, _search
+from .graphs import Graph, _colouring, _components, _from_pairs
 from .perms import Perm, _maps_edges_into, is_permutation
 
 
@@ -21,8 +22,16 @@ def kronecker_cover(g: Graph) -> Graph:
     """The tensor product with a single edge; always bipartite, doubles |V| and |E|."""
     n0 = g.vertex_count
     # Each base edge u < v < n0 gives two distinct pairs, each normalised
-    # with its first end below n0 and its second at or above.
-    return _from_pairs(2 * n0, [(u, v + n0) for u, v in g.edges] + [(v, u + n0) for u, v in g.edges])
+    # with its first end below n0 and its second at or above.  Every edge
+    # joins some x' < n0 to some y'' >= n0, so colouring v' with 0 and v''
+    # with 1 is proper; with no isolated base vertex each v'' has a
+    # neighbour x', so each component's least vertex is some x' of colour 0.
+    # An isolated x leaves {x''} alone with colour 0: then let the search
+    # colour the cover.
+    edges = [(u, v + n0) for u, v in g.edges] + [(v, u + n0) for u, v in g.edges]
+    if len(set(chain.from_iterable(g.edges))) < n0:
+        return _from_pairs(2 * n0, edges)
+    return _from_pairs(2 * n0, edges, colouring=(0,) * n0 + (1,) * n0)
 
 
 def natural_swap(base_vertex_count: int) -> Perm:
@@ -41,9 +50,9 @@ def kronecker_involution_failure(g: Graph, p: Sequence[int]) -> Optional[str]:
     """
     if len(p) != g.vertex_count or not is_permutation(p):
         return "not a vertex permutation of g"
-    components, colors, _ = _search(g)
-    if len(components) > 1:
+    if len(_components(g)) > 1:
         return "graph is not connected"
+    colors = _colouring(g)
     if colors is None:
         return "graph is not bipartite"
     if not _maps_edges_into(g, p, g):  # p is a permutation, checked above
@@ -73,7 +82,7 @@ def quotient(g: Graph, p: Perm) -> Graph:
     if failure is not None:
         raise NotKroneckerInvolution(f"not a Kronecker involution: {failure}")
     orbit = _orbits(p)
-    colors = _search(g)[1]
+    colors = _colouring(g)
     # p passed the clause checker, so the edge {orbit(x), orbit(y)} has just
     # the two preimages {x, y} and {p(x), p(y)}, and colour reversal makes
     # their colour-0 ends lie in opposite orbits: keep the one whose
@@ -83,7 +92,14 @@ def quotient(g: Graph, p: Perm) -> Graph:
         a, b = (orbit[v], orbit[u]) if colors[u] else (orbit[u], orbit[v])
         if a < b:
             edges.append((a, b))
-    return _from_pairs(g.vertex_count // 2, edges)
+    # g is connected and bipartite and p a covering involution, so the
+    # cover of the result is isomorphic to g and connected: a non-empty
+    # result is connected, and not bipartite, or its cover would have two
+    # components.
+    n = g.vertex_count // 2
+    if n == 0:
+        return _from_pairs(0, edges)
+    return _from_pairs(n, edges, components=(tuple(range(n)),), colouring=None)
 
 
 def _orbits(p: Sequence[int]) -> list[int]:
@@ -107,4 +123,4 @@ def _cover_map(g: Graph, p: Sequence[int]) -> list[int]:
     the quotient edge {orbit(x), orbit(y)}.  For any other p it need not
     even be a bijection, so a caller that takes it as a witness checks it."""
     n0 = len(p) // 2
-    return [o + n0 * c for o, c in zip(_orbits(p), _search(g)[1])]
+    return [o + n0 * c for o, c in zip(_orbits(p), _colouring(g))]

@@ -112,7 +112,13 @@ def gp(p: GpParams) -> Graph:
     edges += [(i, n + i) for i in range(n)]
     edges += [(n + i, n + i + k) for i in range(n - k)]
     edges += [(n + i, 2 * n - k + i) for i in range(k)]
-    return _from_pairs(2 * n, edges)
+    # Connected: every v_i has a spoke to the ring.  For n even and k odd,
+    # ring and inner edges join indices of opposite parity and spokes join
+    # u_i to v_i, so u_i -> i mod 2, v_i -> (i + 1) mod 2 is proper, with u_0
+    # coloured 0; otherwise an odd n makes the ring an odd cycle, and an even
+    # k the cycle u_0 ... u_k v_k v_0 of length k + 3.
+    colouring = (0, 1) * (n // 2) + (1, 0) * (n // 2) if n % 2 == 0 and k % 2 else None
+    return _from_pairs(2 * n, edges, components=(tuple(range(2 * n)),), colouring=colouring)
 
 
 def rim_jumps(n: int, a: int, step: int) -> LcfSpec:

@@ -2,14 +2,20 @@
 
 Vertices are dense integers 0..vertex_count-1.  Every Graph is canonical
 however it was built (see :class:`Graph`), so two Graph values compare equal
-exactly when they are the same labelled graph.  Components, the 2-coloring
-and the breadth-first visit order come from one search.  All operations are
-pure; share Graphs freely.
+exactly when they are the same labelled graph.  All operations are pure;
+share Graphs freely.
 
-A Graph's derived data (its adjacency lists and bitsets, the
-component/2-coloring search, and the oracle's search results) is computed on
-first use and kept on that instance, so it is freed together with the graph:
-no module-level cache holds a graph alive.
+Components and the 2-coloring are facts that the package's builders often
+know by construction (GP(n,k) is connected, and bipartite iff n is even and
+k is odd; a Kronecker cover is bipartite; a quotient by a covering
+involution is connected and not bipartite).  A builder records them through
+:func:`_from_pairs`, and any fact nobody recorded comes from one
+breadth-first search, which also gives the oracle its visit order.
+
+A Graph's derived data (its adjacency lists and bitsets, its components and
+2-coloring, that search, and the oracle's search results) is computed or
+recorded on first use and kept on that instance, so it is freed together
+with the graph: no module-level cache holds a graph alive.
 """
 from __future__ import annotations
 
@@ -106,16 +112,33 @@ def graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(vertex_count, edges)
 
 
-def _from_pairs(n: int, pairs: Iterable[Edge]) -> Graph:
+_UNRECORDED = object()  # the default of _from_pairs's ``colouring``: not known
+
+
+def _from_pairs(n: int, pairs: Iterable[Edge], *,
+                components: Optional[tuple[Vertices, ...]] = None,
+                colouring: Optional[Vertices] = _UNRECORDED) -> Graph:
     """The Graph on n vertices with these edges, built without the checks of
     :class:`Graph`: for the package's builders, whose pairs are valid by
     construction.  The caller guarantees an int n >= 0 and distinct int
     pairs (lo, hi) with 0 <= lo < hi < n, in any order; sorting them then
     gives the canonical order lo * n + hi.  Outside input goes through
-    :func:`graph`."""
+    :func:`graph`.
+
+    A builder that knows the graph's components or 2-coloring by
+    construction passes them, and the caller guarantees them too: exactly
+    what the search would find, that is, the components each sorted and
+    ordered by least vertex, and the colouring None iff there is an odd
+    cycle, else a 0/1 tuple that gives each component's least vertex
+    colour 0 (the :func:`bipartition` convention).  Whatever is not passed
+    comes from :func:`_search` when first asked for."""
     g = object.__new__(Graph)
     object.__setattr__(g, "vertex_count", n)
     object.__setattr__(g, "edges", tuple(sorted(pairs)))
+    if components is not None:
+        g.__dict__[_components.__name__] = components
+    if colouring is not _UNRECORDED:
+        g.__dict__[_colouring.__name__] = colouring
     return g
 
 
@@ -151,11 +174,11 @@ def degrees(g: Graph) -> tuple[int, ...]:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Maximal connected vertex sets, each sorted, ordered by least vertex."""
-    return list(map(list, _search(g)[0]))
+    return list(map(list, _components(g)))
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_search(g)[0]) <= 1
+    return len(_components(g)) <= 1
 
 
 def bipartition(g: Graph) -> Optional[list[int]]:
@@ -163,17 +186,32 @@ def bipartition(g: Graph) -> Optional[list[int]]:
 
     Within each connected component the least-index vertex gets color 0.
     """
-    colors = _search(g)[1]
+    colors = _colouring(g)
     return None if colors is None else list(colors)
+
+
+@_once_per_graph
+def _components(g: Graph) -> tuple[Vertices, ...]:
+    """The components of :func:`connected_components` as tuples, as the
+    graph's builder recorded them or else from :func:`_search`."""
+    return _search(g)[0]
+
+
+@_once_per_graph
+def _colouring(g: Graph) -> Optional[Vertices]:
+    """The 2-coloring of :func:`bipartition` as a tuple, or None, as the
+    graph's builder recorded it or else from :func:`_search`."""
+    return _search(g)[1]
 
 
 @_once_per_graph
 def _search(g: Graph) -> tuple[tuple[Vertices, ...], Optional[Vertices], Vertices]:
     """Components, 2-coloring (None if an edge joins two vertices of one
     color) and visit order of one breadth-first search from each least
-    unvisited vertex, shared by the three functions above and the oracle's
-    backtracking, so that the covering-involution checks search each graph
-    once.  The visit order is taken before each component is sorted."""
+    unvisited vertex: the fallback of the two memos above, and the oracle's
+    backtracking order, so that the covering-involution checks search each
+    graph at most once.  The visit order is taken before each component is
+    sorted."""
     adj = adjacency(g)
     color = [-1] * g.vertex_count
     comps = []

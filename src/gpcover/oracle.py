@@ -55,8 +55,8 @@ from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (
-    Graph, _from_pairs, _once_per_graph, _search, adjacency, adjacency_masks,
-    bipartition, connected_components, degrees, encode_graph6, is_connected,
+    Graph, _colouring, _components, _from_pairs, _once_per_graph, _search, adjacency,
+    adjacency_masks, bipartition, connected_components, degrees, encode_graph6, is_connected,
 )
 from .covers import is_kronecker_involution, quotient
 from .perms import Perm
@@ -488,8 +488,7 @@ def kronecker_involutions(g: Graph) -> list[Perm]:
 
 @_once_per_graph
 def _kronecker_involutions(g: Graph) -> tuple[Perm, ...]:
-    components, colors, _ = _search(g)
-    if len(components) > 1 or colors is None:
+    if len(_components(g)) > 1 or _colouring(g) is None:
         return ()
     candidates = automorphisms(g, involutions=True)
     return tuple(p for p in candidates if is_kronecker_involution(g, p))

@@ -11,6 +11,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gpcover import graphs
 from gpcover.graphs import (
     Graph,
     GraphFormatError,
@@ -30,7 +31,7 @@ from gpcover.graphs import (
 from gpcover.classify import Case, classify, involution_family, quotient_lcf
 from gpcover.families import GpParams, gp, lcf
 from gpcover.covers import kronecker_cover, natural_swap, quotient
-from gpcover.oracle import automorphisms
+from gpcover.oracle import automorphisms, kronecker_involutions
 from gpcover.perms import desargues_half_turn, from_triple, is_automorphism
 
 
@@ -202,6 +203,22 @@ def built_graphs(n, k):
     return built + [decode_graph6(encode_graph6(b)) for b in built]
 
 
+def pairs_past_oracle_bound(seed):
+    """A seeded sample of (n, k) with 100 <= n <= 600: 20 uniform pairs,
+    10 half-turn covers and 10 rim-switch covers."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(20):
+        n = rng.randrange(100, 601)
+        pairs.append((n, rng.randrange(1, (n - 1) // 2 + 1)))
+    for _ in range(10):
+        n = rng.randrange(102, 601, 4)
+        pairs.append((n, rng.randrange(1, (n - 1) // 2 + 1, 2)))
+    rim = [(n, k) for n in range(100, 601, 4) for k in range(1, n // 2, 2)
+           if classify(GpParams(n, k)).case in (Case.B1, Case.B2)]
+    return pairs + rng.sample(rim, 10)
+
+
 class TestBuildersMatchGraph:
     """The package's builders hand valid pairs to graphs._from_pairs, which
     skips graph()'s checks; graph() on the same edges is the second route."""
@@ -213,19 +230,7 @@ class TestBuildersMatchGraph:
                     assert_matches_graph(b)
 
     def test_seeded_sample_past_oracle_bound(self):
-        # 20 uniform pairs, 10 half-turn covers and 10 rim-switch covers.
-        rng = random.Random(59)
-        pairs = []
-        for _ in range(20):
-            n = rng.randrange(100, 601)
-            pairs.append((n, rng.randrange(1, (n - 1) // 2 + 1)))
-        for _ in range(10):
-            n = rng.randrange(102, 601, 4)
-            pairs.append((n, rng.randrange(1, (n - 1) // 2 + 1, 2)))
-        rim = [(n, k) for n in range(100, 601, 4) for k in range(1, n // 2, 2)
-               if classify(GpParams(n, k)).case in (Case.B1, Case.B2)]
-        pairs += rng.sample(rim, 10)
-        for n, k in pairs:
+        for n, k in pairs_past_oracle_bound(59):
             for b in built_graphs(n, k):
                 assert_matches_graph(b)
 
@@ -484,6 +489,101 @@ class TestSearchMatchesNetworkx:
             assert bipartition(h) == [0, 1, 0, 1]
             assert connected_components(h) == [[0, 1], [2, 3]]
             assert not is_connected(h)
+
+
+def recorded_facts_match_search(g):
+    """How many facts (components, colouring) g's builder recorded, after
+    asserting that each equals the search on an unrecorded twin.  Call it
+    before anything asks g for them, so that only recorded facts are there."""
+    recorded = {name: g.__dict__[name] for name in ("_components", "_colouring")
+                if name in g.__dict__}
+    components, colouring, _ = _search(Graph(g.vertex_count, g.edges))
+    searched = {"_components": components, "_colouring": colouring}
+    for name, value in recorded.items():
+        assert value == searched[name], (name, g)
+    return len(recorded)
+
+
+class TestRecordedFacts:
+    """gp records one component and its 2-colouring, kronecker_cover the
+    colouring v' -> 0, v'' -> 1 when the base has no isolated vertex, and
+    quotient one component and no colouring; the search on an unrecorded
+    twin Graph(g.vertex_count, g.edges) is the second route."""
+
+    def test_every_gp_to_60_its_cover_and_every_quotient(self):
+        quotients = 0
+        for n in range(3, 61):
+            for k in range(1, (n - 1) // 2 + 1):
+                g = gp(GpParams(n, k))
+                assert recorded_facts_match_search(g) == 2
+                assert recorded_facts_match_search(kronecker_cover(g)) == 1
+                for w in kronecker_involutions(g):
+                    q = quotient(g, w)
+                    assert recorded_facts_match_search(q) == 2
+                    assert recorded_facts_match_search(kronecker_cover(q)) == 1
+                    quotients += 1
+        assert quotients == 219
+
+    def test_seeded_sample_past_oracle_bound(self):
+        compared = 0
+        for n, k in pairs_past_oracle_bound(67):
+            built = built_graphs(n, k)
+            compared += sum(map(recorded_facts_match_search, built))
+            compared += sum(recorded_facts_match_search(kronecker_cover(b)) for b in built)
+        assert compared > 200
+
+    @given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+                 max_size=20),
+    )))
+    @example((3, [(0, 1)]))
+    @example((4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+    def test_covers_of_small_graphs_and_their_quotients(self, drawn):
+        n, pairs = drawn
+        g = graph(n, [(u, v) for u, v in pairs if u != v])
+        cover = kronecker_cover(g)
+        isolated = n > len({x for e in g.edges for x in e})
+        assert recorded_facts_match_search(cover) == (0 if isolated else 1)
+        if is_connected(g) and bipartition(g) is None:
+            # The swap v' <-> v'' is a covering involution of the cover.
+            q = quotient(cover, natural_swap(n))
+            assert recorded_facts_match_search(q) == 2
+
+    def test_cover_of_a_graph_with_an_isolated_vertex(self):
+        # An isolated base vertex x leaves {x''} a component of its own,
+        # whose least vertex x'' takes colour 0; decode_graph6("@") is the
+        # one-vertex graph that ``gpcover kc --g6 @`` covers.
+        for base, expected in [(graph(3, [(0, 1)]), [0, 0, 0, 1, 1, 0]),
+                               (decode_graph6("@"), [0, 0])]:
+            cover = kronecker_cover(base)
+            assert bipartition(cover) == expected
+            assert bipartition(Graph(cover.vertex_count, cover.edges)) == expected
+
+    def test_quotient_of_the_empty_graph_records_nothing(self):
+        # The empty graph passes every clause with the empty map; its
+        # quotient has no component and the empty colouring.
+        q = quotient(graph(0, []), ())
+        assert recorded_facts_match_search(q) == 0
+        assert connected_components(q) == [] and bipartition(q) == []
+
+    def test_closed_form_chain_runs_no_search(self, monkeypatch):
+        calls = []
+        search = graphs._search
+        monkeypatch.setattr(graphs, "_search", lambda g: calls.append(g) or search(g))
+        for n, k, case in [(402, 37, Case.A1), (400, 49, Case.B1)]:
+            p = GpParams(n, k)
+            c = classify(p)
+            g = gp(p)
+            q = quotient(g, from_triple(n, k, c.canonical_involution))
+            cover = kronecker_cover(q)
+            assert c.case is case
+            assert bipartition(cover) is not None
+            assert is_connected(g) and is_connected(q) and bipartition(q) is None
+        assert calls == []
+        # The counter sees the search of a graph whose facts nobody recorded.
+        assert bipartition(graph(3, [(0, 1)])) == [0, 1, 0]
+        assert len(calls) == 1
 
 
 def derive_all(g):

@@ -222,6 +222,12 @@ def test_detector_names_every_unchecked_construction():
     assert unchecked_constructions(source) == ["direct", "aliased", "C", "<module>"]
 
 
+def test_only_graphs_touches_a_graphs_dict():
+    # A builder records what it knows of its graph through
+    # graphs._from_pairs; the memos in graphs keep it in the graph's __dict__.
+    assert [p.name for p in MODULES if p.name != "graphs.py" and "__dict__" in p.read_text()] == []
+
+
 # Public names kept without a caller, each for a stated reason.
 UNCALLED_BUT_KEPT = {
     "girth": "the README names it in prose; the unit suite checks it "
