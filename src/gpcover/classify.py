@@ -21,8 +21,8 @@ from math import gcd
 from typing import Optional
 
 from .graphs import Graph, _integer
-from .families import GpParams, LcfSpec, _ring_size, gp, h_graph, lcf, rim_jumps
-from .perms import WordTriple, format_word
+from .families import GpParams, LcfSpec, gp, h_graph, lcf, rim_jumps
+from .perms import WordTriple, _ring_size, format_word
 
 
 def two_adic(i: int) -> int:

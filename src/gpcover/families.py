@@ -7,16 +7,10 @@ built in :mod:`gpcover.perms` apply without translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .graphs import Graph, _from_pairs, _integer, graph
-
-
-def _ring_size(n: int) -> int:
-    """n as the int length of a ring Z_n, which every family here needs >= 3."""
-    n = _integer("n", n)
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
-    return n
+from .perms import Perm, _affine, _ring_size
 
 
 @dataclass(frozen=True)
@@ -102,7 +96,9 @@ def gp(p: GpParams) -> Graph:
     """The generalized Petersen graph GP(n,k) on 2n vertices.
 
     Outer ring u_i u_{i+1}, inner jumps v_i v_{i+k} (gcd(n,k) cycles), and
-    the perfect matching of spokes u_i v_i.
+    the perfect matching of spokes u_i v_i.  The graph carries its
+    generators alpha, beta and, when k^2 = +-1 (mod n), gamma, as a record
+    that the canonical-form search materializes when it first needs them.
     """
     n, k = p.n, p.k
     # Normalised pairs, each edge once since 1 <= k < n/2: the ring, the
@@ -118,7 +114,19 @@ def gp(p: GpParams) -> Graph:
     # coloured 0; otherwise an odd n makes the ring an odd cycle, and an even
     # k the cycle u_0 ... u_k v_k v_0 of length k + 3.
     colouring = (0, 1) * (n // 2) + (1, 0) * (n // 2) if n % 2 == 0 and k % 2 else None
-    return _from_pairs(2 * n, edges, components=(tuple(range(2 * n)),), colouring=colouring)
+    return _from_pairs(2 * n, edges, components=(tuple(range(2 * n)),), colouring=colouring,
+                       automorphisms=partial(_gp_generators, n, k))
+
+
+def _gp_generators(n: int, k: int) -> tuple[tuple[str, Perm], ...]:
+    """alpha, beta and, when k^2 = +-1 (mod n), gamma as named maps of
+    GP(n,k)'s vertices.  They generate Aut GP(n,k) except for the seven
+    exceptional (n,k), whose group is larger (Frucht, Graver & Watkins
+    1971).  Each is one affine map i -> t*i + a of :mod:`gpcover.perms`."""
+    named = [("α", _affine(n, 1, 1, False)), ("β", _affine(n, -1, 0, False))]
+    if k * k % n in (1, n - 1):
+        named.append(("γ", _affine(n, k, 0, True)))
+    return tuple(named)
 
 
 def rim_jumps(n: int, a: int, step: int) -> LcfSpec:

@@ -10,7 +10,10 @@ know by construction (GP(n,k) is connected, and bipartite iff n is even and
 k is odd; a Kronecker cover is bipartite; a quotient by a covering
 involution is connected and not bipartite).  A builder records them through
 :func:`_from_pairs`, and any fact nobody recorded comes from one
-breadth-first search, which also gives the oracle its visit order.
+breadth-first search, which also gives the oracle its visit order.  A
+builder may also record automorphisms it knows (GP(n,k) has alpha, beta
+and sometimes gamma), lazily, as a callable that only the canonical-form
+search calls: the oracle checks each map before it prunes by it.
 
 A Graph's derived data (its adjacency lists and bitsets, its components and
 2-coloring, that search, and the oracle's search results) is computed or
@@ -29,6 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 Edge = tuple[int, int]
 Vertices = tuple[int, ...]
+NamedMap = tuple[str, Sequence[int]]  # a vertex map under a name that errors can use
 T = TypeVar("T")
 
 
@@ -117,7 +121,8 @@ _UNRECORDED = object()  # the default of _from_pairs's ``colouring``: not known
 
 def _from_pairs(n: int, pairs: Iterable[Edge], *,
                 components: Optional[tuple[Vertices, ...]] = None,
-                colouring: Optional[Vertices] = _UNRECORDED) -> Graph:
+                colouring: Optional[Vertices] = _UNRECORDED,
+                automorphisms: Optional[Callable[[], Iterable[NamedMap]]] = None) -> Graph:
     """The Graph on n vertices with these edges, built without the checks of
     :class:`Graph`: for the package's builders, whose pairs are valid by
     construction.  The caller guarantees an int n >= 0 and distinct int
@@ -131,7 +136,15 @@ def _from_pairs(n: int, pairs: Iterable[Edge], *,
     ordered by least vertex, and the colouring None iff there is an odd
     cycle, else a 0/1 tuple that gives each component's least vertex
     colour 0 (the :func:`bipartition` convention).  Whatever is not passed
-    comes from :func:`_search` when first asked for."""
+    comes from :func:`_search` when first asked for.
+
+    A builder that knows automorphisms of the graph passes ``automorphisms``,
+    a callable with no arguments that returns them as (name, map) pairs.
+    It is kept uncalled, so a graph that is never searched pays nothing,
+    and must not refer to the graph, so that no reference cycle keeps the
+    graph alive.  These maps are the one record that the caller need not
+    guarantee: the oracle checks each before it prunes by it (see
+    :func:`_recorded_automorphisms`)."""
     g = object.__new__(Graph)
     object.__setattr__(g, "vertex_count", n)
     object.__setattr__(g, "edges", tuple(sorted(pairs)))
@@ -139,7 +152,17 @@ def _from_pairs(n: int, pairs: Iterable[Edge], *,
         g.__dict__[_components.__name__] = components
     if colouring is not _UNRECORDED:
         g.__dict__[_colouring.__name__] = colouring
+    if automorphisms is not None:
+        g.__dict__[_recorded_automorphisms.__name__] = automorphisms
     return g
+
+
+def _recorded_automorphisms(g: Graph) -> tuple[NamedMap, ...]:
+    """The (name, map) pairs that g's builder recorded as automorphisms of
+    g, materialized by each call, or () if it recorded none.  They are not
+    checked here; the oracle checks them and keeps the result on g."""
+    make = g.__dict__.get(_recorded_automorphisms.__name__)
+    return () if make is None else tuple(make())
 
 
 @_once_per_graph
@@ -308,8 +331,9 @@ def decode_graph6(s: str | bytes) -> Graph:
 
     Raises GraphFormatError, in this order, for an empty string; a character
     or byte outside '?'..'~' (the first one is named); a malformed long size
-    header; a bit field that is truncated or followed by trailing garbage;
-    and non-zero padding bits after the last upper-triangle position.  The
+    header (too short, the 8-byte form, or an n below 63, which has the
+    one-character header); a bit field that is truncated or followed by
+    trailing garbage; and non-zero padding bits after the last upper-triangle position.  The
     range check, the offset and the search for non-zero bytes run in C, and
     Python visits only the non-zero bytes of the bit field, so the cost
     follows the edges, not n².
@@ -330,9 +354,11 @@ def decode_graph6(s: str | bytes) -> Graph:
         raise GraphFormatError(f"character {ch!r} outside graph6 range")
     vals = raw.translate(_MINUS_63)
     if vals[0] == 63:  # '~': extended size header
-        if len(vals) < 4 or vals[1] == 63:
+        n = (vals[1] << 12) | (vals[2] << 6) | vals[3] if len(vals) >= 4 else 0
+        # The 4-byte header holds exactly 63 <= n <= _G6_MAX: a smaller n has
+        # the one-byte header, and "~~" starts the 8-byte header of a larger.
+        if not 63 <= n <= _G6_MAX:
             raise GraphFormatError("malformed graph6 size header")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
         body = vals[4:]
     else:
         n = vals[0]

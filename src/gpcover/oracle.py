@@ -5,15 +5,18 @@ Everything here is exact.  Searches are guided by equitable partition
 refinement (1-dimensional color refinement) but never trust it alone:
 automorphisms come from backtracking that checks every edge, and a canonical
 form is the least leaf certificate of the individualization-refinement tree.  That search
-prunes only subtrees that provably hold no smaller certificate, by three
+prunes only subtrees that provably hold no smaller certificate, by four
 rules of McKay & Piperno (2014): automorphism backjumps, stabilizer orbits
-along the first path, and a node invariant (the cell sizes along the path)
-compared with the best leaf's.  The least certificate of a connected graph
-is kept on that graph, as its covering involutions are.  An isomorphism test
-takes the second graph's and walks the first graph's tree toward it,
-stopping at the first leaf that meets it or at the first leaf or node that
-falls below it; the same walk uncut is the canonical-form search, so there
-is one search engine.
+along the first path, a node invariant (the cell sizes along the path)
+compared with the best leaf's, and orbits of the automorphisms that the
+graph's builder recorded (GP(n,k) records alpha, beta and sometimes
+gamma), at any node whose path they fix.  Each recorded map is checked to
+be an automorphism before it is used.  The least certificate of a
+connected graph is kept on that graph, as its covering involutions are.
+An isomorphism test takes the second graph's and walks the first graph's
+tree toward it, stopping at the first leaf that meets it or at the first
+leaf or node that falls below it; the same walk uncut is the canonical-form
+search, so there is one search engine.
 
 A partition has one format throughout: the arrays [order, pos, start_of,
 size], in which each cell is a run of order named by its start position.
@@ -41,7 +44,8 @@ dist(x0, x) = dist(r, u) and dist(r, x) = dist(x0, u), which one
 breadth-first row from r and one from each x0 decide.  Each result still
 passes the clause checker in ``covers`` and is kept on the graph.
 Enumerating the whole group and filtering it is the independent route that
-the tests compare against.
+the tests compare against.  Neither search reads the recorded
+automorphisms, so both stay independent of the builders.
 
 Every search refuses a graph with more vertices than :func:`vertex_bound`,
 which only ``GPCOVER_ORACLE_BOUND`` sets (default 120).  Sweeps call
@@ -55,11 +59,12 @@ from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (
-    Graph, _colouring, _components, _from_pairs, _once_per_graph, _search, adjacency,
-    adjacency_masks, bipartition, connected_components, degrees, encode_graph6, is_connected,
+    Graph, _colouring, _components, _from_pairs, _once_per_graph, _recorded_automorphisms,
+    _search, adjacency, adjacency_masks, bipartition, connected_components, degrees,
+    encode_graph6, is_connected,
 )
 from .covers import is_kronecker_involution, quotient
-from .perms import Perm
+from .perms import Perm, _maps_edges_into, is_permutation
 
 DEFAULT_VERTEX_BOUND = 120
 _BOUND_ENV = "GPCOVER_ORACLE_BOUND"
@@ -529,9 +534,11 @@ class _Node:
 
     ``part`` is the node's partition, which the search never changes once
     the node exists, and ``start`` the start of its target cell, whose
-    members are individualized in turn.  ``orbits`` is set only on the
-    first path, where it is the union-find of the automorphisms found so far
-    that fix the path's individualized vertices above this node."""
+    members are individualized in turn.  ``orbits`` is the union-find of
+    known automorphisms that fix the path's individualized vertices above
+    this node: the recorded ones (:func:`_known_automorphisms`) that do, and
+    on the first path also those found at leaves so far.  It is None at a
+    node off the first path that no recorded automorphism fixes."""
 
     __slots__ = ("part", "start", "untried", "done", "orbits")
 
@@ -604,7 +611,7 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
     positions follow from the shapes, so two leaves with equal certificates
     differ by an automorphism that maps one path onto the other.
 
-    The search keeps the first leaf and the best leaf and prunes by three
+    The search keeps the first leaf and the best leaf and prunes by four
     rules, none of which can lose the least certificate:
 
     - automorphism backjump: a leaf whose certificate equals a reference
@@ -613,6 +620,11 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
     - stabilizer orbits: at a node of the first path, a child in the orbit
       of an explored sibling under the automorphisms found so far that fix
       the path above it is skipped;
+    - recorded orbits: at any node, on the first path or off it, and in
+      the target walk too, a child in the orbit of an explored sibling
+      under the recorded automorphisms that fix the path above it is
+      skipped.  Such an automorphism maps the sibling's subtree onto the
+      child's with equal certificates, whichever leaves were found;
     - node invariant: a child whose path shapes are greater than the best
       leaf's shapes to the same depth is skipped, since every leaf below it
       is greater.  No node on the path is ever above the best leaf's shapes,
@@ -632,6 +644,7 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
     reference cycles behind."""
     n = g.vertex_count
     adj = adjacency(g)
+    known = _known_automorphisms(g)
     part = _equitable(adj)
     path: list[int] = []  # the vertex individualized at each depth
     shapes = [part[3]]
@@ -643,7 +656,10 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
         order, pos, _, size = part
         open_cells = [(z, s) for s, z in enumerate(size) if z > 1]
         if open_cells and not _homogeneous(adj, part):
-            orbits = list(range(n)) if first is None else None
+            fixing = [a for a in known if all(a[v] == v for v in path)]
+            orbits = list(range(n)) if first is None or fixing else None
+            for a in fixing:
+                _join(orbits, a)
             nodes.append(_Node(part, min(open_cells)[1], orbits))
         else:
             cert = (tuple(shapes), _relabeled_edges(g, pos))
@@ -658,9 +674,11 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
                 for v, x in zip(order, ref_order):
                     gamma[v] = x
                 # gamma fixes the first path down to some depth; it joins the
-                # orbits of every first-path node down to there.
+                # orbits of every first-path node down to there.  nodes[d]
+                # is a first-path node while the path above it is the first.
                 for d, node in enumerate(nodes):
-                    if node.orbits is None or (d and gamma[first[2][d - 1]] != first[2][d - 1]):
+                    if d and (path[d - 1] != first[2][d - 1]
+                              or gamma[path[d - 1]] != path[d - 1]):
                         break
                     _join(node.orbits, gamma)
                 back = 0
@@ -688,6 +706,21 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
             break
         else:
             return best[0] if target is None else False
+
+
+@_once_per_graph
+def _known_automorphisms(g: Graph) -> tuple[Perm, ...]:
+    """The automorphisms that g's builder recorded, kept on g once each has
+    been checked to be a permutation of g's vertices that maps every edge
+    to an edge.  A recorded map that is not raises ValueError naming it, so
+    it never prunes a search."""
+    n = g.vertex_count
+    known = []
+    for name, p in _recorded_automorphisms(g):
+        if not (len(p) == n and is_permutation(p) and _maps_edges_into(g, p, g)):
+            raise ValueError(f"recorded map {name} is not an automorphism of the graph")
+        known.append(tuple(p))
+    return tuple(known)
 
 
 @_once_per_graph

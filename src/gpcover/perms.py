@@ -14,12 +14,20 @@ from dataclasses import dataclass
 from operator import index
 from typing import Sequence
 
-from .families import _ring_size
 from .graphs import Graph, _integer
 
 Perm = tuple[int, ...]
 
 _SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
+
+
+def _ring_size(n: int) -> int:
+    """n as the int length of a ring Z_n, which every GP word and every
+    family needs >= 3."""
+    n = _integer("n", n)
+    if n < 3:
+        raise ValueError(f"n must be at least 3, got {n}")
+    return n
 
 
 def identity(n: int) -> Perm:

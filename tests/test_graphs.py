@@ -807,10 +807,24 @@ class TestGraph6:
         with pytest.raises(GraphFormatError):
             decode_graph6("~~")
 
+    @pytest.mark.parametrize("text", ["~???", "~??@", "~??}" + "?" * 316])
+    def test_long_header_below_63_vertices_rejected(self, text):
+        # n <= 62 has the one-byte header, so a long one would not re-encode
+        # to itself: "~???" would be the empty graph "?".
+        with pytest.raises(GraphFormatError, match="malformed graph6 size header"):
+            decode_graph6(text)
+
+    def test_long_header_from_63_vertices_accepted(self):
+        g = graph(63, [(0, 62)])
+        text = encode_graph6(g)
+        assert text.startswith("~??~") and decode_graph6(text) == g
+
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126),
                    min_size=0, max_size=12))
     @example("B~")
     @example(">>graph6<<Bw")
+    @example("~???")
+    @example("~??@")
     def test_decode_never_crashes_unexpectedly(self, s):
         try:
             g = decode_graph6(s)

@@ -11,16 +11,17 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from gpcover.graphs import (
-    adjacency, adjacency_masks, bipartition, connected_components, degrees, graph,
-    is_connected,
+    Graph, _from_pairs, adjacency, adjacency_masks, bipartition, connected_components,
+    degrees, graph, is_connected,
 )
 from gpcover.families import GpParams, gp, h_graph
 from gpcover.covers import is_kronecker_involution, kronecker_cover, quotient
 from gpcover.perms import (
-    WordTriple, compose, from_triple, identity, inverse, is_automorphism,
+    WordTriple, compose, from_triple, identity, inverse, is_automorphism, reflection,
+    rim_swap, rotation,
 )
-from gpcover.classify import involution_family
-from gpcover import oracle
+from gpcover.classify import classify, involution_family
+from gpcover import families, oracle
 from gpcover.oracle import (
     SearchBoundExceeded,
     _equitable,
@@ -1110,13 +1111,15 @@ class TestTargetedIsomorphism:
         oracle._canonical_search(g)
         assert len(leaves) > 1
 
-    @pytest.mark.parametrize("n,k,l,leaves_seen", [(40, 2, 4, 0), (24, 1, 7, 1)],
+    @pytest.mark.parametrize("n,k,l,leaves_seen", [(40, 2, 4, 0), (20, 6, 1, 1)],
                              ids=["at-a-node", "at-a-leaf"])
     def test_falls_below_the_target_before_the_search_ends(self, monkeypatch, n, k, l,
                                                            leaves_seen):
         # Not isomorphic, and g's least certificate is the smaller one: the
         # first child of GP(40,2)'s root already has a smaller shape than the
-        # target's, and GP(24,1)'s first leaf is already below the target.
+        # target's, and GP(20,6)'s first leaf is already below the target,
+        # while its full search goes on to a second leaf.  (GP(24,1)'s full
+        # search, pruned by its recorded automorphisms, ends at its first.)
         g, h = gp(GpParams(n, k)), gp(GpParams(n, l))
         target = oracle._least_certificate(h)
         assert oracle._least_certificate(g) < target
@@ -1153,6 +1156,141 @@ class TestTargetedIsomorphism:
 
         monkeypatch.setattr(oracle, "_canonical_search", no_search)
         assert is_isomorphic(gp(GpParams(40, 7)), gp(GpParams(40, 7)))
+
+
+def gp_to(max_n):
+    return [(n, k) for n in range(3, max_n + 1) for k in range(1, (n - 1) // 2 + 1)]
+
+
+class TestRecordedAutomorphisms:
+    """gp records alpha, beta and, when k^2 = +-1 (mod n), gamma; the
+    canonical-form search prunes by them, and the unrecorded twin
+    Graph(g.vertex_count, g.edges), which the search explores without them,
+    is the second route."""
+
+    def test_gp_records_its_generators(self):
+        for n, k in gp_to(60):
+            words = [rotation(n), reflection(n)]
+            if k * k % n in (1, n - 1):
+                words.append(rim_swap(n, k))
+            g = gp(GpParams(n, k))
+            assert oracle._known_automorphisms(g) == tuple(words), (n, k)
+            assert oracle._known_automorphisms(Graph(2 * n, g.edges)) == ()
+
+    def test_every_gp_to_60_matches_its_unrecorded_twin(self):
+        rng = random.Random(29)
+        for n, k in gp_to(60):
+            g = gp(GpParams(n, k))
+            twin = Graph(g.vertex_count, g.edges)
+            assert oracle._least_certificate(g) == oracle._least_certificate(twin), (n, k)
+            assert canonical_form(g) == canonical_form(twin), (n, k)
+            perm = list(range(2 * n))
+            rng.shuffle(perm)
+            copy = relabeled(g, perm)
+            assert is_isomorphic(g, copy) and is_isomorphic(copy, g), (n, k)
+
+    @staticmethod
+    def count_individualizations(monkeypatch):
+        calls = []
+        individualize = oracle._individualized
+        monkeypatch.setattr(oracle, "_individualized",
+                            lambda *args: calls.append(1) or individualize(*args))
+        return calls
+
+    @pytest.mark.parametrize("n,k,ceiling", [(40, 7, 4), (40, 9, 2), (26, 5, 2), (60, 11, 2)])
+    def test_recorded_orbits_prune_the_search(self, monkeypatch, n, k, ceiling):
+        # GP(40,9), GP(26,5) and GP(60,11) are vertex-transitive: alpha and
+        # gamma join the root's one cell, so one child of the root is
+        # searched.  The unrecorded twin finds those automorphisms again at
+        # leaves, with 8, 7, 7 and 7 individualizations.
+        calls = self.count_individualizations(monkeypatch)
+        g = gp(GpParams(n, k))
+        oracle._canonical_search(g)
+        assert len(calls) <= ceiling, len(calls)
+        calls.clear()
+        oracle._canonical_search(Graph(g.vertex_count, g.edges))
+        assert len(calls) > ceiling, len(calls)
+
+    def test_node_orbits_lie_in_path_stabilizer_orbits(self, monkeypatch):
+        # Recorded orbits are joined at nodes off the first path too; check
+        # every node's orbits against the orbits of the pointwise stabilizer
+        # of that node's path in the whole group.
+        paths = {}  # id of a child's partition -> that child's path
+        parts = []  # keeps those partitions, and so their ids, alive
+        created = []
+
+        class Recorded(oracle._Node):
+            __slots__ = ("path",)
+
+            def __init__(self, part, *args):
+                super().__init__(part, *args)
+                self.path = paths.get(id(part), [])
+                created.append(self)
+
+        next_child, relabel = oracle._next_child, oracle._relabeled_edges
+        leaves = []  # how many nodes existed at each leaf
+
+        def tracked(adj, node):
+            found = next_child(adj, node)
+            if found is not None:
+                parts.append(found[1])
+                paths[id(found[1])] = node.path + [found[0]]
+            return found
+
+        monkeypatch.setattr(oracle, "_Node", Recorded)
+        monkeypatch.setattr(oracle, "_next_child", tracked)
+        monkeypatch.setattr(oracle, "_relabeled_edges",
+                            lambda g, pos: leaves.append(len(created)) or relabel(g, pos))
+        off_first_path = 0
+        for n, k in gp_to(20):
+            g = gp(GpParams(n, k))
+            created.clear()
+            leaves.clear()
+            oracle._canonical_search(g)
+            group = automorphisms(g)
+            for node in created:
+                if node.orbits is None:
+                    continue
+                fixing = [a for a in group if all(a[v] == v for v in node.path)]
+                allowed = orbit_ids(g.vertex_count, fixing)
+                built = [oracle._find(node.orbits, x) for x in range(g.vertex_count)]
+                assert all(allowed[x] == allowed[r] for x, r in enumerate(built)), (n, k)
+            # The nodes made before the first leaf are the first path.
+            off_first_path += sum(node.orbits is not None for node in created[leaves[0]:])
+        assert off_first_path > 0
+
+    def test_a_forged_map_is_named_and_never_used(self):
+        g = gp(GpParams(10, 3))
+        good = rotation(10)
+        swapped = list(good)
+        swapped[0], swapped[1] = swapped[1], swapped[0]
+        forgeries = {"ε": swapped, "short": good[:-1], "repeat": good[:-1] + good[:1]}
+        for name, p in forgeries.items():
+            named = [("α", good), (name, p)]
+            forged = _from_pairs(20, g.edges, automorphisms=lambda named=named: named)
+            with pytest.raises(ValueError, match=f"recorded map {name} is not an automorphism"):
+                canonical_form(forged)
+            with pytest.raises(ValueError, match=name):
+                is_isomorphic(gp(GpParams(10, 2)), forged)  # forged is the target
+            with pytest.raises(ValueError, match=name):
+                canonical_form(forged)  # a failed check keeps nothing on the graph
+            # The group enumeration and the involution search read no record.
+            assert automorphisms(forged) == automorphisms(g)
+            assert kronecker_involutions(forged) == kronecker_involutions(g)
+
+    def test_a_graph_never_searched_never_materializes_its_record(self, monkeypatch):
+        made = []
+        generators = families._gp_generators
+        monkeypatch.setattr(families, "_gp_generators",
+                            lambda *args: made.append(args) or generators(*args))
+        g = gp(GpParams(26, 5))
+        quotient(g, from_triple(26, 5, classify(GpParams(26, 5)).canonical_involution))
+        assert len(automorphisms(g)) == 104
+        assert len(kronecker_involutions(g)) == 1
+        assert made == []
+        form = canonical_form(g)
+        assert made == [(26, 5)]
+        assert canonical_form(g) == form and made == [(26, 5)]
 
 
 class TestQuotientClasses:
