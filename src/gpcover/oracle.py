@@ -64,7 +64,7 @@ from .graphs import (
     encode_graph6, is_connected,
 )
 from .covers import is_kronecker_involution, quotient
-from .perms import Perm, _maps_edges_into, is_permutation
+from .perms import Perm, is_automorphism
 
 DEFAULT_VERTEX_BOUND = 120
 _BOUND_ENV = "GPCOVER_ORACLE_BOUND"
@@ -717,7 +717,7 @@ def _known_automorphisms(g: Graph) -> tuple[Perm, ...]:
     n = g.vertex_count
     known = []
     for name, p in _recorded_automorphisms(g):
-        if not (len(p) == n and is_permutation(p) and _maps_edges_into(g, p, g)):
+        if not (len(p) == n and is_automorphism(g, p)):
             raise ValueError(f"recorded map {name} is not an automorphism of the graph")
         known.append(tuple(p))
     return tuple(known)

@@ -1259,6 +1259,23 @@ class TestRecordedAutomorphisms:
             off_first_path += sum(node.orbits is not None for node in created[leaves[0]:])
         assert off_first_path > 0
 
+    def test_a_leaf_automorphism_off_the_first_path_joins_no_orbits(self):
+        # This cubic graph's search finds its best leaf below the root's
+        # second child and meets that leaf again below the same child.  The
+        # automorphism between the two fixes the child, but the nodes below
+        # the root are off the first path, and no recorded map gives them
+        # orbits, so the automorphism joins the root's orbits only.
+        g = graph(8, [(0, 2), (0, 5), (0, 6), (1, 4), (1, 6), (1, 7), (2, 4), (2, 5),
+                      (3, 4), (3, 6), (3, 7), (5, 7)])
+        form = canonical_form(g)
+        rng = random.Random(31)
+        for _ in range(20):
+            perm = list(range(8))
+            rng.shuffle(perm)
+            copy = relabeled(g, perm)
+            assert canonical_form(copy) == form
+            assert is_isomorphic(copy, g) and is_isomorphic(g, copy)
+
     def test_a_forged_map_is_named_and_never_used(self):
         g = gp(GpParams(10, 3))
         good = rotation(10)
