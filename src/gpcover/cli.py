@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (invalid parameters, degenerate
-constructions) or an output file that cannot be written, 2 usage error.
+constructions), an output file that cannot be written or a graph too large
+for the memory at hand, 2 usage error.
 Machine-readable output goes to stdout, diagnostics to stderr.
 """
 from __future__ import annotations
@@ -116,8 +117,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_quotient(args) -> int:
     p = GpParams(args.n, args.k)
-    g = gp(p)
-    c = classify(p)
+    c = classify(p)  # closed form: every refusal comes before GP(n,k) is built
     if args.delta:
         if (args.n, args.k) != (10, 3):
             raise ValueError("--delta applies only to GP(10,3)")
@@ -138,7 +138,7 @@ def _cmd_quotient(args) -> int:
         perm = from_triple(args.n, args.k, next(t for t in family if t.a == args.a))
     else:
         perm = from_triple(args.n, args.k, c.canonical_involution)
-    q = quotient(g, perm)
+    q = quotient(gp(p), perm)
     if args.dot:
         _write_text(args.dot, to_dot(q))
     print(encode_graph6(q))
@@ -238,6 +238,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        size = f" --n {args.n}" if getattr(args, "n", None) is not None else ""
+        print(f"error: {args.command}{size}: out of memory", file=sys.stderr)
         return 1
 
 

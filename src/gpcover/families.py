@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .graphs import Graph, _from_pairs, _integer, graph
-from .perms import Perm, _affine, _ring_size
+from .perms import Perm, _ring_size, reflection, rim_swap, rotation
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,10 @@ def _gp_generators(n: int, k: int) -> tuple[tuple[str, Perm], ...]:
     """alpha, beta and, when k^2 = +-1 (mod n), gamma as named maps of
     GP(n,k)'s vertices.  They generate Aut GP(n,k) except for the seven
     exceptional (n,k), whose group is larger (Frucht, Graver & Watkins
-    1971).  Each is one affine map i -> t*i + a of :mod:`gpcover.perms`."""
-    named = [("α", _affine(n, 1, 1, False)), ("β", _affine(n, -1, 0, False))]
+    1971)."""
+    named = [("α", rotation(n)), ("β", reflection(n))]
     if k * k % n in (1, n - 1):
-        named.append(("γ", _affine(n, k, 0, True)))
+        named.append(("γ", rim_swap(n, k)))
     return tuple(named)
 
 

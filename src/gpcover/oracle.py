@@ -5,13 +5,14 @@ Everything here is exact.  Searches are guided by equitable partition
 refinement (1-dimensional color refinement) but never trust it alone:
 automorphisms come from backtracking that checks every edge, and a canonical
 form is the least leaf certificate of the individualization-refinement tree.  That search
-prunes only subtrees that provably hold no smaller certificate, by four
-rules of McKay & Piperno (2014): automorphism backjumps, stabilizer orbits
-along the first path, a node invariant (the cell sizes along the path)
-compared with the best leaf's, and orbits of the automorphisms that the
-graph's builder recorded (GP(n,k) records alpha, beta and sometimes
-gamma), at any node whose path they fix.  Each recorded map is checked to
-be an automorphism before it is used.  The least certificate of a
+prunes only subtrees that provably hold no smaller certificate, by three
+rules of McKay & Piperno (2014): automorphism backjumps to the best leaf,
+a node invariant (the cell sizes along the path) compared with the best
+leaf's, and orbits of known automorphisms at every node.  One store holds
+those: the automorphisms that the graph's builder recorded (GP(n,k)
+records alpha, beta and sometimes gamma), each checked to be an
+automorphism before it is used, and every automorphism found at a leaf.
+Each node joins the stored maps that fix its path.  The least certificate of a
 connected graph is kept on that graph, as its covering involutions are.
 An isomorphism test takes the second graph's and walks the first graph's
 tree toward it, stopping at the first leaf that meets it or at the first
@@ -535,10 +536,10 @@ class _Node:
     ``part`` is the node's partition, which the search never changes once
     the node exists, and ``start`` the start of its target cell, whose
     members are individualized in turn.  ``orbits`` is the union-find of
-    known automorphisms that fix the path's individualized vertices above
-    this node: the recorded ones (:func:`_known_automorphisms`) that do, and
-    on the first path also those found at leaves so far.  It is None at a
-    node off the first path that no recorded automorphism fixes."""
+    the known automorphisms that fix the path's individualized vertices
+    above this node: the recorded ones (:func:`_known_automorphisms`) and
+    those found at leaves, both those stored when the node was made and
+    those found while it is on the path."""
 
     __slots__ = ("part", "start", "untried", "done", "orbits")
 
@@ -584,10 +585,9 @@ def _next_child(adj, node: _Node):
     node's in which the vertex moves to the front of the target cell as a
     singleton, refined from that singleton."""
     for v in node.untried:
-        if node.orbits is not None:
-            rv = _find(node.orbits, v)
-            if any(_find(node.orbits, u) == rv for u in node.done):
-                continue
+        rv = _find(node.orbits, v)
+        if any(_find(node.orbits, u) == rv for u in node.done):
+            continue
         node.done.append(v)
         return v, _individualized(adj, node.part, v)
     return None
@@ -611,20 +611,20 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
     positions follow from the shapes, so two leaves with equal certificates
     differ by an automorphism that maps one path onto the other.
 
-    The search keeps the first leaf and the best leaf and prunes by four
-    rules, none of which can lose the least certificate:
+    The search keeps the best leaf and a store of known automorphisms: the
+    recorded ones and every one found at a leaf.  It prunes by three rules,
+    none of which can lose the least certificate:
 
-    - automorphism backjump: a leaf whose certificate equals a reference
+    - automorphism backjump: a leaf whose certificate equals the best
       leaf's gives an automorphism mapping its path onto that leaf's path,
       so the search returns straight to the depth where the two paths part;
-    - stabilizer orbits: at a node of the first path, a child in the orbit
-      of an explored sibling under the automorphisms found so far that fix
-      the path above it is skipped;
-    - recorded orbits: at any node, on the first path or off it, and in
-      the target walk too, a child in the orbit of an explored sibling
-      under the recorded automorphisms that fix the path above it is
-      skipped.  Such an automorphism maps the sibling's subtree onto the
-      child's with equal certificates, whichever leaves were found;
+      the automorphism is stored, and joined into the orbits of every node
+      down to that depth, the nodes whose path it fixes;
+    - known orbits: at any node, and in the target walk too, a child in the
+      orbit of an explored sibling under the stored automorphisms that fix
+      the path above it is skipped.  Such an automorphism maps the
+      sibling's subtree onto the child's with equal certificates, so the
+      child's subtree holds no certificate that the sibling's did not;
     - node invariant: a child whose path shapes are greater than the best
       leaf's shapes to the same depth is skipped, since every leaf below it
       is greater.  No node on the path is ever above the best leaf's shapes,
@@ -644,48 +644,41 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
     reference cycles behind."""
     n = g.vertex_count
     adj = adjacency(g)
-    known = _known_automorphisms(g)
+    known = list(_known_automorphisms(g))  # and every leaf automorphism found
     part = _equitable(adj)
     path: list[int] = []  # the vertex individualized at each depth
     shapes = [part[3]]
     nodes: list[_Node] = []  # the inner nodes above the current node
-    # Reference leaves as (certificate, vertex order, path).
-    first: Optional[tuple] = None
-    best: Optional[tuple] = None
+    best: Optional[tuple] = None  # (certificate, vertex order, path)
     while True:
         order, pos, _, size = part
         open_cells = [(z, s) for s, z in enumerate(size) if z > 1]
         if open_cells and not _homogeneous(adj, part):
-            fixing = [a for a in known if all(a[v] == v for v in path)]
-            orbits = list(range(n)) if first is None or fixing else None
-            for a in fixing:
-                _join(orbits, a)
+            orbits = list(range(n))
+            for a in known:
+                if all(a[v] == v for v in path):
+                    _join(orbits, a)
             nodes.append(_Node(part, min(open_cells)[1], orbits))
         else:
             cert = (tuple(shapes), _relabeled_edges(g, pos))
             if target is not None and cert <= target:
                 return cert == target
             back = len(path) - 1  # the depth to resume at
-            if first is None:
-                first = best = (cert, order, path[:])
-            elif cert == first[0] or cert == best[0]:
-                _, ref_order, ref_path = first if cert == first[0] else best
-                gamma = [0] * n
-                for v, x in zip(order, ref_order):
-                    gamma[v] = x
-                # gamma fixes the first path down to some depth; it joins the
-                # orbits of every first-path node down to there.  nodes[d]
-                # is a first-path node while the path above it is the first.
-                for d, node in enumerate(nodes):
-                    if d and (path[d - 1] != first[2][d - 1]
-                              or gamma[path[d - 1]] != path[d - 1]):
-                        break
-                    _join(node.orbits, gamma)
-                back = 0
-                while path[back] == ref_path[back]:
-                    back += 1
-            elif cert < best[0]:
+            if best is None or cert < best[0]:
                 best = (cert, order, path[:])
+            elif cert == best[0]:
+                gamma = [0] * n
+                for v, x in zip(order, best[1]):
+                    gamma[v] = x
+                known.append(gamma)
+                # gamma maps the path onto the best leaf's path, so it fixes
+                # the path down to the depth where the two part, and joins
+                # the orbits of every node down to there.
+                back = 0
+                while path[back] == best[2][back]:
+                    back += 1
+                for node in nodes[:back + 1]:
+                    _join(node.orbits, gamma)
             del nodes[back + 1:]
         # Descend into the next child of the deepest node that has one.
         while nodes:

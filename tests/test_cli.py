@@ -124,6 +124,22 @@ class TestQuotientCommand:
         assert code == 1
         assert "family" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "1000000", "--k", "3"],
+         "GP(1000000,3) is not a Kronecker cover (NoCover): no covering involution, no quotient"),
+        (["--n", "12", "--k", "5", "--a", "3"], "shift 3 not in the involution family [2, 6, 10]"),
+        (["--n", "12", "--k", "5", "--delta"], "--delta applies only to GP(10,3)"),
+    ], ids=["no-cover", "bad-shift", "delta-off-desargues"])
+    def test_refused_before_the_graph_is_built(self, capsys, monkeypatch, argv, message):
+        # classify decides in closed form, so a refusal never waits for, or
+        # runs out of memory on, a GP(n,k) it does not need.
+        def unbuilt(p):
+            raise AssertionError(f"GP({p.n},{p.k}) built for a refused quotient")
+
+        monkeypatch.setattr(cli, "gp", unbuilt)
+        code, out, err = run(capsys, "quotient", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_dot_output(self, capsys, tmp_path):
         path = tmp_path / "q.dot"
         code, out, _ = run(
@@ -385,6 +401,23 @@ def test_unwritable_output_path_is_one_error_line(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_out_of_memory_is_one_error_line():
+    # The address-space limit is set in the child process only.
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from gpcover.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "export", "--family", "gp", "--n", "10000000", "--k", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: export --n 10000000: out of memory\n"
 
 
 def test_module_entry_point():

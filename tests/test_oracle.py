@@ -916,42 +916,6 @@ class TestCanonicalFormSoundness:
             for shapes, edges in leaf_certificates(g):
                 assert shapes_of.setdefault(edges, shapes) == shapes, g
 
-    def test_first_path_orbits_lie_in_path_stabilizer_orbits(self, monkeypatch):
-        # Orbit pruning at a first-path node is sound only for automorphisms
-        # that fix the path above it; check every orbit the search built
-        # against the orbits of that pointwise stabilizer in the whole group.
-        created = []
-
-        class Recorded(oracle._Node):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                created.append(self)
-
-        monkeypatch.setattr(oracle, "_Node", Recorded)
-        rng = random.Random(53)
-        pool = [g for g in soundness_pool()
-                if g.vertex_count <= 20 and len(connected_components(g)) == 1]
-        pool += [gp(GpParams(10, 3)), gp(GpParams(12, 5)), cfi_graph(nx.complete_graph(4), False)]
-        joined = 0
-        for g in pool:
-            perm = list(range(g.vertex_count))
-            rng.shuffle(perm)
-            g = relabeled(g, perm)
-            created.clear()
-            oracle._canonical_search(g)
-            group = automorphisms(g)
-            prefix = []
-            for node in [node for node in created if node.orbits is not None]:
-                fixing = [a for a in group if all(a[v] == v for v in prefix)]
-                allowed = orbit_ids(g.vertex_count, fixing)
-                built = [oracle._find(node.orbits, x) for x in range(g.vertex_count)]
-                assert all(allowed[x] == allowed[r] for x, r in enumerate(built)), (g, prefix)
-                joined += sum(r != x for x, r in enumerate(built))
-                prefix.append(node.done[0])
-        assert joined > 0
-
     def test_search_leaves_every_node_partition_unchanged(self, monkeypatch):
         # A child copies its parent's arrays before refining them, so each
         # node keeps its partition and the search reads the same one at
@@ -1164,7 +1128,8 @@ def gp_to(max_n):
 
 class TestRecordedAutomorphisms:
     """gp records alpha, beta and, when k^2 = +-1 (mod n), gamma; the
-    canonical-form search prunes by them, and the unrecorded twin
+    canonical-form search stores them with the automorphisms it finds at
+    leaves and prunes by both, and the unrecorded twin
     Graph(g.vertex_count, g.edges), which the search explores without them,
     is the second route."""
 
@@ -1211,10 +1176,10 @@ class TestRecordedAutomorphisms:
         oracle._canonical_search(Graph(g.vertex_count, g.edges))
         assert len(calls) > ceiling, len(calls)
 
-    def test_node_orbits_lie_in_path_stabilizer_orbits(self, monkeypatch):
-        # Recorded orbits are joined at nodes off the first path too; check
-        # every node's orbits against the orbits of the pointwise stabilizer
-        # of that node's path in the whole group.
+    @staticmethod
+    def track_nodes(monkeypatch):
+        """Make every node of the next searches keep its path; returns the
+        nodes in creation order and, per leaf, how many nodes existed then."""
         paths = {}  # id of a child's partition -> that child's path
         parts = []  # keeps those partitions, and so their ids, alive
         created = []
@@ -1228,7 +1193,7 @@ class TestRecordedAutomorphisms:
                 created.append(self)
 
         next_child, relabel = oracle._next_child, oracle._relabeled_edges
-        leaves = []  # how many nodes existed at each leaf
+        leaves = []
 
         def tracked(adj, node):
             found = next_child(adj, node)
@@ -1241,30 +1206,62 @@ class TestRecordedAutomorphisms:
         monkeypatch.setattr(oracle, "_next_child", tracked)
         monkeypatch.setattr(oracle, "_relabeled_edges",
                             lambda g, pos: leaves.append(len(created)) or relabel(g, pos))
+        return created, leaves
+
+    def test_node_orbits_lie_in_path_stabilizer_orbits(self, monkeypatch):
+        # Orbit pruning at a node is sound only for automorphisms that fix
+        # the path above it.  Every node takes the recorded maps and the leaf
+        # automorphisms that do, on the first path or off it, so check every
+        # node's orbits against the orbits of the pointwise stabilizer of
+        # its path in the whole group.
+        created, leaves = self.track_nodes(monkeypatch)
+        rng = random.Random(53)
+        pool = [g for g in soundness_pool()
+                if g.vertex_count <= 20 and len(connected_components(g)) == 1]
+        pool.append(cfi_graph(nx.complete_graph(4), False))
+        for i, g in enumerate(pool):
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            pool[i] = relabeled(g, perm)
+        pool += [gp(GpParams(n, k)) for n, k in gp_to(20)]
         off_first_path = 0
-        for n, k in gp_to(20):
-            g = gp(GpParams(n, k))
+        for g in pool:
             created.clear()
             leaves.clear()
             oracle._canonical_search(g)
             group = automorphisms(g)
             for node in created:
-                if node.orbits is None:
-                    continue
                 fixing = [a for a in group if all(a[v] == v for v in node.path)]
                 allowed = orbit_ids(g.vertex_count, fixing)
                 built = [oracle._find(node.orbits, x) for x in range(g.vertex_count)]
-                assert all(allowed[x] == allowed[r] for x, r in enumerate(built)), (n, k)
+                assert all(allowed[x] == allowed[r] for x, r in enumerate(built)), (g, node.path)
             # The nodes made before the first leaf are the first path.
-            off_first_path += sum(node.orbits is not None for node in created[leaves[0]:])
+            trivial = list(range(g.vertex_count))
+            off_first_path += sum(node.orbits != trivial for node in created[leaves[0]:])
         assert off_first_path > 0
 
-    def test_a_leaf_automorphism_off_the_first_path_joins_no_orbits(self):
-        # This cubic graph's search finds its best leaf below the root's
-        # second child and meets that leaf again below the same child.  The
-        # automorphism between the two fixes the child, but the nodes below
-        # the root are off the first path, and no recorded map gives them
-        # orbits, so the automorphism joins the root's orbits only.
+    def test_a_leaf_automorphism_prunes_a_node_off_the_first_path(self, monkeypatch):
+        # A Latin square graph records no maps, so every orbit comes from an
+        # automorphism found at a leaf.  Such automorphisms are kept and
+        # joined at every node whose path they fix, so a node made after the
+        # first leaf skips a child that one of them maps onto an explored
+        # sibling.  _next_child skips only by orbits, so a node that ran out
+        # of children with fewer explored than its target cell holds did so.
+        created, leaves = self.track_nodes(monkeypatch)
+        g = latin_square_graph(6, 2)
+        assert oracle._known_automorphisms(g) == ()
+        oracle._canonical_search(g)
+        skipping = [node for node in created[leaves[0]:]
+                    if next(node.untried, None) is None
+                    and len(node.done) < node.part[3][node.start]]
+        assert skipping
+        assert oracle._canonical_edges(g) == least_certificate_edges(g)
+
+    def test_relabelings_of_a_small_cubic_graph_agree(self):
+        # This cubic graph's search meets a leaf equal to the best one below
+        # a child of the root off the first path, and the automorphism
+        # between the two joins that child's orbits; with some relabelings a
+        # node off the first path then skips a child.
         g = graph(8, [(0, 2), (0, 5), (0, 6), (1, 4), (1, 6), (1, 7), (2, 4), (2, 5),
                       (3, 4), (3, 6), (3, 7), (5, 7)])
         form = canonical_form(g)
