@@ -843,6 +843,68 @@ def orbit_ids(n, perms):
     return [oracle._find(uf, x) for x in range(n)]
 
 
+def track_nodes(monkeypatch):
+    """Make every node of the next searches keep its path; returns the
+    nodes in creation order and, per leaf, how many nodes existed then."""
+    paths = {}  # id of a child's partition -> that child's path
+    parts = []  # keeps those partitions, and so their ids, alive
+    created = []
+
+    class Recorded(oracle._Node):
+        __slots__ = ("path",)
+
+        def __init__(self, part, *args):
+            super().__init__(part, *args)
+            self.path = paths.get(id(part), [])
+            created.append(self)
+
+    next_child, relabel = oracle._next_child, oracle._relabeled_edges
+    leaves = []
+
+    def tracked(adj, node):
+        found = next_child(adj, node)
+        if found is not None:
+            parts.append(found[1])
+            paths[id(found[1])] = node.path + [found[0]]
+        return found
+
+    monkeypatch.setattr(oracle, "_Node", Recorded)
+    monkeypatch.setattr(oracle, "_next_child", tracked)
+    monkeypatch.setattr(oracle, "_relabeled_edges",
+                        lambda g, pos: leaves.append(len(created)) or relabel(g, pos))
+    return created, leaves
+
+
+def path_orbit_pool():
+    """The relabelled connected soundness pool up to 20 vertices and CFI(K4),
+    then every GP(n,k) with n <= 20 with its recorded maps."""
+    rng = random.Random(53)
+    pool = [g for g in soundness_pool()
+            if g.vertex_count <= 20 and len(connected_components(g)) == 1]
+    pool.append(cfi_graph(nx.complete_graph(4), False))
+    for i, g in enumerate(pool):
+        perm = list(range(g.vertex_count))
+        rng.shuffle(perm)
+        pool[i] = relabeled(g, perm)
+    return pool + [gp(GpParams(n, k)) for n, k in gp_to(20)]
+
+
+def check_path_stabilizer_orbits(g, nodes):
+    """Orbit pruning at a node is sound only for automorphisms that fix the
+    path above it: assert that each node's orbits lie in the orbits of the
+    pointwise stabilizer of its path in automorphisms(g), and return how
+    many vertices the nodes joined to another."""
+    group = automorphisms(g)
+    joined = 0
+    for node in nodes:
+        fixing = [a for a in group if all(a[v] == v for v in node.path)]
+        allowed = orbit_ids(g.vertex_count, fixing)
+        built = [oracle._find(node.orbits, x) for x in range(g.vertex_count)]
+        assert all(allowed[x] == allowed[r] for x, r in enumerate(built)), (g, node.path)
+        joined += sum(r != x for x, r in enumerate(built))
+    return joined
+
+
 class TestCanonicalFormSoundness:
     @pytest.mark.parametrize("n,seed", [(5, 1), (6, 0), (6, 1), (6, 2)])
     def test_latin_square_graphs_match_the_unpruned_tree(self, n, seed):
@@ -915,6 +977,19 @@ class TestCanonicalFormSoundness:
             shapes_of = {}
             for shapes, edges in leaf_certificates(g):
                 assert shapes_of.setdefault(edges, shapes) == shapes, g
+
+    def test_first_path_orbits_lie_in_path_stabilizer_orbits(self, monkeypatch):
+        # The nodes made before the first leaf are the first path; they take
+        # the recorded maps and every leaf automorphism that fixes their
+        # prefix, wherever in the tree it was found.
+        created, leaves = track_nodes(monkeypatch)
+        joined = 0
+        for g in path_orbit_pool():
+            created.clear()
+            leaves.clear()
+            oracle._canonical_search(g)
+            joined += check_path_stabilizer_orbits(g, created[:leaves[0]])
+        assert joined > 0
 
     def test_search_leaves_every_node_partition_unchanged(self, monkeypatch):
         # A child copies its parent's arrays before refining them, so each
@@ -1176,69 +1251,19 @@ class TestRecordedAutomorphisms:
         oracle._canonical_search(Graph(g.vertex_count, g.edges))
         assert len(calls) > ceiling, len(calls)
 
-    @staticmethod
-    def track_nodes(monkeypatch):
-        """Make every node of the next searches keep its path; returns the
-        nodes in creation order and, per leaf, how many nodes existed then."""
-        paths = {}  # id of a child's partition -> that child's path
-        parts = []  # keeps those partitions, and so their ids, alive
-        created = []
-
-        class Recorded(oracle._Node):
-            __slots__ = ("path",)
-
-            def __init__(self, part, *args):
-                super().__init__(part, *args)
-                self.path = paths.get(id(part), [])
-                created.append(self)
-
-        next_child, relabel = oracle._next_child, oracle._relabeled_edges
-        leaves = []
-
-        def tracked(adj, node):
-            found = next_child(adj, node)
-            if found is not None:
-                parts.append(found[1])
-                paths[id(found[1])] = node.path + [found[0]]
-            return found
-
-        monkeypatch.setattr(oracle, "_Node", Recorded)
-        monkeypatch.setattr(oracle, "_next_child", tracked)
-        monkeypatch.setattr(oracle, "_relabeled_edges",
-                            lambda g, pos: leaves.append(len(created)) or relabel(g, pos))
-        return created, leaves
-
     def test_node_orbits_lie_in_path_stabilizer_orbits(self, monkeypatch):
-        # Orbit pruning at a node is sound only for automorphisms that fix
-        # the path above it.  Every node takes the recorded maps and the leaf
-        # automorphisms that do, on the first path or off it, so check every
-        # node's orbits against the orbits of the pointwise stabilizer of
-        # its path in the whole group.
-        created, leaves = self.track_nodes(monkeypatch)
-        rng = random.Random(53)
-        pool = [g for g in soundness_pool()
-                if g.vertex_count <= 20 and len(connected_components(g)) == 1]
-        pool.append(cfi_graph(nx.complete_graph(4), False))
-        for i, g in enumerate(pool):
-            perm = list(range(g.vertex_count))
-            rng.shuffle(perm)
-            pool[i] = relabeled(g, perm)
-        pool += [gp(GpParams(n, k)) for n, k in gp_to(20)]
-        off_first_path = 0
-        for g in pool:
+        # A node off the first path takes the stored maps that fix its path
+        # when it is made and the leaf automorphisms that do afterwards; its
+        # orbits, too, lie in those of its path's stabilizer, and some are
+        # not trivial.
+        created, leaves = track_nodes(monkeypatch)
+        joined = 0
+        for g in path_orbit_pool():
             created.clear()
             leaves.clear()
             oracle._canonical_search(g)
-            group = automorphisms(g)
-            for node in created:
-                fixing = [a for a in group if all(a[v] == v for v in node.path)]
-                allowed = orbit_ids(g.vertex_count, fixing)
-                built = [oracle._find(node.orbits, x) for x in range(g.vertex_count)]
-                assert all(allowed[x] == allowed[r] for x, r in enumerate(built)), (g, node.path)
-            # The nodes made before the first leaf are the first path.
-            trivial = list(range(g.vertex_count))
-            off_first_path += sum(node.orbits != trivial for node in created[leaves[0]:])
-        assert off_first_path > 0
+            joined += check_path_stabilizer_orbits(g, created[leaves[0]:])
+        assert joined > 0
 
     def test_a_leaf_automorphism_prunes_a_node_off_the_first_path(self, monkeypatch):
         # A Latin square graph records no maps, so every orbit comes from an
@@ -1247,7 +1272,7 @@ class TestRecordedAutomorphisms:
         # first leaf skips a child that one of them maps onto an explored
         # sibling.  _next_child skips only by orbits, so a node that ran out
         # of children with fewer explored than its target cell holds did so.
-        created, leaves = self.track_nodes(monkeypatch)
+        created, leaves = track_nodes(monkeypatch)
         g = latin_square_graph(6, 2)
         assert oracle._known_automorphisms(g) == ()
         oracle._canonical_search(g)
