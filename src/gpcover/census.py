@@ -24,7 +24,7 @@ from .families import GpParams, gp
 from .classify import Case, Classification, classify
 from .covers import _cover_map, kronecker_cover, kronecker_involution_failure
 from .oracle import check_bound, is_isomorphic, kronecker_involutions, quotients_up_to_iso
-from .graphs import Graph, encode_graph6
+from .graphs import Graph, _integer, encode_graph6
 from .perms import Perm, _maps_edges_into, format_word, from_triple
 
 CSV_COLUMNS = (
@@ -54,6 +54,7 @@ class CensusRow:
 
 def _keys(n_min: int, n_max: int, include_nonbipartite: bool = True):
     """Every valid (n,k) with n_min <= n <= n_max, ordered by (n,k)."""
+    n_min, n_max = _integer("n_min", n_min), _integer("n_max", n_max)
     for n in range(max(3, n_min), n_max + 1):
         for k in range(1, (n - 1) // 2 + 1):
             if include_nonbipartite or (n % 2 == 0 and k % 2 == 1):
@@ -69,7 +70,10 @@ def _check_sweep(keys: list[tuple[int, int]]) -> None:
 
 def _map(fn, keys, jobs: int) -> list:
     """fn over keys, in key order, serially or in at most one worker
-    process per key."""
+    process per key; jobs, the most workers, must be an integer >= 1."""
+    jobs = _integer("jobs", jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(keys))
     if workers > 1:
         # Imported here, not in the header: it loads all of multiprocessing,
@@ -121,7 +125,8 @@ def census(
     include_nonbipartite is set.  With the oracle enabled, a row agrees
     iff every check that :func:`verify` runs for its (n,k) passes; a sweep
     whose largest graph is past the oracle vertex bound is refused with
-    SearchBoundExceeded before any search.
+    SearchBoundExceeded before any search.  Non-integer bounds or jobs, and
+    jobs below 1, are ValueErrors naming them.
     """
     keys = list(_keys(n_min, n_max, include_nonbipartite))
     if with_oracle:
@@ -255,9 +260,12 @@ def verify(n_max: int, jobs: int = 1) -> VerifyReport:
 
     Per pair, the checks of :func:`_compare`, in order.  Failures carry
     graph6 payloads; they are data, not exceptions.  A sweep past the oracle
-    vertex bound is refused with SearchBoundExceeded before any search.
+    vertex bound is refused with SearchBoundExceeded before any search, and
+    a bad n_max or jobs with a ValueError naming it.
     """
     keys = list(_keys(3, n_max))
+    if not keys:  # GP(3,1) is the least valid pair
+        raise ValueError(f"n_max must be at least 3, got {n_max}")
     _check_sweep(keys)
     groups = _map(_verify_pair, keys, jobs)
     checks = tuple(c for group in groups for c in group)

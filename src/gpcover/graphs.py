@@ -10,10 +10,11 @@ know by construction (GP(n,k) is connected, and bipartite iff n is even and
 k is odd; a Kronecker cover is bipartite; a quotient by a covering
 involution is connected and not bipartite).  A builder records them through
 :func:`_from_pairs`, and any fact nobody recorded comes from one
-breadth-first search, which also gives the oracle its visit order.  A
-builder may also record automorphisms it knows (GP(n,k) has alpha, beta
-and sometimes gamma), lazily, as a callable that only the canonical-form
-search calls: the oracle checks each map before it prunes by it.
+breadth-first search, which also gives the oracle its visit order and
+its distance rows.  A builder may also record automorphisms it knows
+(GP(n,k) has alpha, beta and sometimes gamma), lazily, as a callable that
+only the canonical-form search calls: the oracle checks each map before it
+prunes by it.
 
 A Graph's derived data (its adjacency lists and bitsets, its components and
 2-coloring, that search, and the oracle's search results) is computed or
@@ -227,37 +228,40 @@ def _colouring(g: Graph) -> Optional[Vertices]:
     return _search(g)[1]
 
 
+def _breadth_first(adj: Sequence[Sequence[int]], source: int, dist: list[int]) -> list[int]:
+    """Breadth-first search from source over adj in list order: writes each
+    reached vertex's distance into dist (-1: unvisited) and returns the
+    visit order; :func:`girth` alone keeps its own, early-stopping search."""
+    dist[source] = 0
+    order = [source]
+    for u in order:  # order grows as the queue of the search
+        d = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = d
+                order.append(w)
+    return order
+
+
 @_once_per_graph
 def _search(g: Graph) -> tuple[tuple[Vertices, ...], Optional[Vertices], Vertices]:
     """Components, 2-coloring (None if an edge joins two vertices of one
-    color) and visit order of one breadth-first search from each least
+    color) and visit order of one :func:`_breadth_first` from each least
     unvisited vertex: the fallback of the two memos above, and the oracle's
     backtracking order, so that the covering-involution checks search each
-    graph at most once.  The visit order is taken before each component is
-    sorted."""
+    graph at most once.  A colour is a depth's parity."""
     adj = adjacency(g)
-    color = [-1] * g.vertex_count
+    dist = [-1] * g.vertex_count
     comps = []
     visits: list[int] = []
-    odd = False
     for start in range(g.vertex_count):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        comp = [start]
-        for u in comp:  # comp grows as the queue of the search
-            c = color[u]
-            for w in adj[u]:
-                cw = color[w]
-                if cw < 0:
-                    color[w] = 1 - c
-                    comp.append(w)
-                elif cw == c:
-                    odd = True
-        visits += comp
-        comp.sort()
-        comps.append(tuple(comp))
-    return tuple(comps), None if odd else tuple(color), tuple(visits)
+        if dist[start] < 0:
+            comp = _breadth_first(adj, start, dist)
+            visits += comp
+            comps.append(tuple(sorted(comp)))
+    color = tuple(d & 1 for d in dist)
+    odd = any(color[u] == color[v] for u, v in g.edges)
+    return tuple(comps), None if odd else color, tuple(visits)
 
 
 def girth(g: Graph) -> Optional[int]:

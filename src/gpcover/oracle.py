@@ -41,9 +41,10 @@ mode that applies the involution clauses at every node, with the graph's
 own 2-coloring as the sides, so it never enumerates the rest of the group.
 Below the first vertex r's image x0 that mode also keeps distances: an
 involutive automorphism swaps r and x0, so it sends u to a vertex x with
-dist(x0, x) = dist(r, u) and dist(r, x) = dist(x0, u), which one
-breadth-first row from r and one from each x0 decide.  Each result still
-passes the clause checker in ``covers`` and is kept on the graph.
+dist(x0, x) = dist(r, u) and dist(r, x) = dist(x0, u): one row from r and
+one from each x0, both from ``graphs._breadth_first``, compared entry by
+entry.  Each result still passes the clause checker in ``covers`` and is
+kept on the graph.
 Enumerating the whole group and filtering it is the independent route that
 the tests compare against.  Neither search reads the recorded
 automorphisms, so both stay independent of the builders.
@@ -56,13 +57,12 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (
-    Graph, _colouring, _components, _from_pairs, _once_per_graph, _recorded_automorphisms,
-    _search, adjacency, adjacency_masks, bipartition, connected_components, degrees,
-    encode_graph6, is_connected,
+    Graph, _breadth_first, _colouring, _components, _from_pairs, _once_per_graph,
+    _recorded_automorphisms, _search, adjacency, adjacency_masks, bipartition,
+    connected_components, degrees, encode_graph6, is_connected,
 )
 from .covers import is_kronecker_involution, quotient
 from .perms import Perm, is_automorphism
@@ -271,20 +271,6 @@ def _join(uf: list[int], gamma: Sequence[int]) -> None:
                 uf[rx] = ry
 
 
-def _distances(adj: Sequence[Sequence[int]], source: int) -> list[int]:
-    """Breadth-first distances from source; -1 for an unreachable vertex."""
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = [source]
-    for u in queue:  # queue grows as the search visits
-        d = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = d
-                queue.append(w)
-    return dist
-
-
 def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
     """The automorphisms of g that map the cells of the partition domain onto
     the cells of the partition image at the same starts, yielded as found.
@@ -309,9 +295,9 @@ def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
     instead of branched on.  Once the first vertex r has its image x0, every
     later u -> x must also keep distances to both: dist(x0, x) = dist(r, u),
     since an automorphism sends r to x0, and dist(r, x) = dist(x0, u), since
-    an involution sends x0 back to r.  That takes one breadth-first row from
-    r and one from each root image when it is chosen; an unreachable vertex
-    has distance -1 on both sides, so disconnected graphs stay exact.
+    an involution sends x0 back to r.  The two distance rows come from
+    ``graphs._breadth_first`` and are compared entry by entry; an unreachable
+    vertex has distance -1 in both, so disconnected graphs stay exact.
 
     The search keeps its own stack, so its depth is not limited by Python's
     recursion limit."""
@@ -327,14 +313,8 @@ def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
         # An image keeps the refinement cell and flips the side.
         have = [2 * have[v] + sides[v] for v in range(n)]
         want = [2 * start[v] + 1 - sides[v] for v in range(n)]
-        # Below a root image x0 the keys also hold the distances to r and
-        # to x0, each -1..n-1, as two digits in base n + 1:
-        # have[x] = (have[x] * base + dist(x0, x)) * base + dist(r, x), and
-        # want[u] the same with dist(r, u) and dist(x0, u).
-        base = n + 1
-        from_root = _distances(adj, bfs_order[0])
-        have_r = [h * base * base + d for h, d in zip(have, from_root)]
-        want_r = [(w * base + d) * base for w, d in zip(want, from_root)]
+    # Distances from r and x0: one zero row, which passes all, until x0 is chosen.
+    from_r = from_x0 = [0] * n
     pos = [0] * n
     for t, u in enumerate(bfs_order):
         pos[u] = t
@@ -368,9 +348,11 @@ def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
                 req |= bit[mapping[w]]
             blocked = used | masks[u] if pairs else used
             wu = want[u]
+            r_u, x0_u = from_r[u], from_x0[u]
             s = start[u]
             for x in cells[s:s + cell_size[s]] if pivot[t] < 0 else adj[mapping[pivot[t]]]:
-                if not blocked & bit[x] and have[x] == wu and masks[x] & used == req:
+                if (not blocked & bit[x] and have[x] == wu and from_x0[x] == r_u
+                        and from_r[x] == x0_u and masks[x] & used == req):
                     images.append(x)
         # Back up to the deepest branching depth with an image left.  A
         # vertex fixed as a partner has its partner earlier in BFS order.
@@ -394,10 +376,12 @@ def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
         if pairs:
             mapping[x] = u
             used |= bit[u]
-            if t == 0:
-                from_x = _distances(adj, x)
-                have = [h + base * d for h, d in zip(have_r, from_x)]
-                want = list(map(add, want_r, from_x))
+            if t == 0:  # u is r and x its image x0
+                if from_r is from_x0:  # the first x0: r's row is still zero
+                    from_r = [-1] * n
+                    _breadth_first(adj, u, from_r)
+                from_x0 = [-1] * n
+                _breadth_first(adj, x, from_x0)
         t += 1
 
 
@@ -433,7 +417,7 @@ def automorphisms(g: Graph, *, involutions: bool = False) -> list[Perm]:
     vertex's distances to r and x0, swapped: u may go to x only if
     dist(x0, x) = dist(r, u) and dist(r, x) = dist(x0, u), with -1 for an
     unreachable vertex, so a disconnected graph is searched exactly too.
-    The whole-group mode has no such test; there the BFS order and the
+    The whole-group mode's rows stay zero; there the BFS order and the
     neighbourhood test already force those distances.
     """
     n = g.vertex_count

@@ -51,6 +51,8 @@ def compose(p: Perm, q: Perm) -> Perm:
 
 
 def inverse(p: Perm) -> Perm:
+    if not is_permutation(p):
+        raise ValueError(f"no inverse: {tuple(p)!r} is not a permutation")
     inv = [0] * len(p)
     for i, img in enumerate(p):
         inv[img] = i
@@ -58,6 +60,7 @@ def inverse(p: Perm) -> Perm:
 
 
 def power(p: Perm, m: int) -> Perm:
+    m = _integer("exponent", m)
     if m < 0:
         return power(inverse(p), -m)
     result = identity(len(p))

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,29 @@ class TestJobs:
     def test_jobs_below_row_count_is_kept(self, pools):
         assert rows_to_csv(census(4, 10, jobs=3)) == rows_to_csv(census(4, 10))
         assert pools == [3]
+
+    @pytest.mark.parametrize("sweep, message", [
+        (lambda: verify(2.5), "n_max 2.5 is not an integer"),
+        (lambda: verify("9"), "n_max '9' is not an integer"),
+        (lambda: verify(2), "n_max must be at least 3, got 2"),
+        (lambda: verify(8, jobs=0), "jobs must be at least 1, got 0"),
+        (lambda: census(3, 8.5), "n_max 8.5 is not an integer"),
+        (lambda: census(None, 8, with_oracle=True), "n_min None is not an integer"),
+        (lambda: census(3, 8, jobs=1.5), "jobs 1.5 is not an integer"),
+        (lambda: census(3, 8, with_oracle=True, jobs=-3), "jobs must be at least 1, got -3"),
+        (lambda: census(61, 61, jobs=0), "jobs must be at least 1, got 0"),
+    ])
+    def test_bad_arguments_are_named_before_any_row(self, monkeypatch, pools, sweep,
+                                                    message):
+        import importlib
+
+        census_mod = importlib.import_module("gpcover.census")
+        rows = []
+        monkeypatch.setattr(census_mod, "_census_row", lambda key, **kw: rows.append(key))
+        monkeypatch.setattr(census_mod, "_verify_pair", rows.append)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            sweep()
+        assert pools == [] and rows == []
 
 
 class TestOracleBound:

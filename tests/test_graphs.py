@@ -15,6 +15,7 @@ from gpcover import graphs
 from gpcover.graphs import (
     Graph,
     GraphFormatError,
+    _breadth_first,
     _search,
     adjacency,
     adjacency_masks,
@@ -465,6 +466,30 @@ class TestSearchMatchesNetworkx:
                             order.append(w)
                             queue.append(w)
             assert _search(g)[2] == tuple(order)
+
+    def test_breadth_first_from_every_source(self):
+        # Every source, not only each component's least vertex: the
+        # involution search reads rows from r and from each image of r.
+        rng = random.Random(37)
+        base = gp(GpParams(12, 5))
+        cases = [base, kronecker_cover(base), *(random_graph(rng) for _ in range(40))]
+        assert any(0 in degrees(g) and len(connected_components(g)) > 2 for g in cases)
+        for g in cases:
+            nxg = nx.empty_graph(g.vertex_count)
+            nxg.add_edges_from(g.edges)
+            for source in range(g.vertex_count):
+                dist = [-1] * g.vertex_count
+                order = _breadth_first(adjacency(g), source, dist)
+                expected = [-1] * g.vertex_count
+                for v, d in nx.single_source_shortest_path_length(nxg, source).items():
+                    expected[v] = d
+                assert dist == expected
+                fifo = [source]
+                for u in fifo:
+                    for w in sorted(nxg[u]):
+                        if w not in fifo:
+                            fifo.append(w)
+                assert order == fifo
 
     def test_workload_graphs(self):
         for n, k in [(402, 37), (420, 29)]:

@@ -69,6 +69,18 @@ class TestGroupOps:
         p = rotation(5)
         assert power(p, -2) == inverse(power(p, 2))
 
+    @pytest.mark.parametrize("p", [(0, 0), (1, 2), (0, 1.0), (0, -1)])
+    def test_a_map_that_is_no_permutation_has_no_inverse(self, p):
+        with pytest.raises(ValueError, match=re.escape(f"{p!r} is not a permutation")):
+            inverse(p)
+        with pytest.raises(ValueError, match="not a permutation"):
+            power(p, -1)
+
+    @pytest.mark.parametrize("m", [2.5, "2", None])
+    def test_power_names_an_exponent_that_is_no_integer(self, m):
+        with pytest.raises(ValueError, match=re.escape(f"exponent {m!r} is not an integer")):
+            power(identity(3), m)
+
 
 class TestGenerators:
     def test_reflection_is_involution(self):
