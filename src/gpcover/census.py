@@ -61,11 +61,17 @@ def _keys(n_min: int, n_max: int, include_nonbipartite: bool = True):
                 yield n, k
 
 
-def _check_sweep(keys: list[tuple[int, int]]) -> None:
-    """Refuse, before any search, a sweep whose largest GP(n,k) (2n
-    vertices) is past the oracle bound."""
-    if keys:
-        check_bound(2 * keys[-1][0])
+def _check_sweep(n_min: int, n_max: int, include_nonbipartite: bool = True) -> bool:
+    """Whether :func:`_keys` has a key in the range; a range whose largest
+    GP(n,k) (2n vertices) is past the oracle bound is refused first, before
+    any key is listed.  Every even n >= 4 has a key, so only n_max and
+    n_max - 1 are tried."""
+    n_min, n_max = _integer("n_min", n_min), _integer("n_max", n_max)
+    for n in range(n_max, max(n_min, n_max - 1) - 1, -1):
+        if next(_keys(n, n, include_nonbipartite), None):
+            check_bound(2 * n)
+            return True
+    return False
 
 
 def _map(fn, keys, jobs: int) -> list:
@@ -125,12 +131,12 @@ def census(
     include_nonbipartite is set.  With the oracle enabled, a row agrees
     iff every check that :func:`verify` runs for its (n,k) passes; a sweep
     whose largest graph is past the oracle vertex bound is refused with
-    SearchBoundExceeded before any search.  Non-integer bounds or jobs, and
-    jobs below 1, are ValueErrors naming them.
+    SearchBoundExceeded before any row is listed or searched.  Non-integer
+    bounds or jobs, and jobs below 1, are ValueErrors naming them.
     """
-    keys = list(_keys(n_min, n_max, include_nonbipartite))
     if with_oracle:
-        _check_sweep(keys)
+        _check_sweep(n_min, n_max, include_nonbipartite)
+    keys = list(_keys(n_min, n_max, include_nonbipartite))
     return _map(partial(_census_row, with_oracle=with_oracle), keys, jobs)
 
 
@@ -260,14 +266,12 @@ def verify(n_max: int, jobs: int = 1) -> VerifyReport:
 
     Per pair, the checks of :func:`_compare`, in order.  Failures carry
     graph6 payloads; they are data, not exceptions.  A sweep past the oracle
-    vertex bound is refused with SearchBoundExceeded before any search, and
-    a bad n_max or jobs with a ValueError naming it.
+    vertex bound is refused with SearchBoundExceeded before any pair is
+    listed or searched, and a bad n_max or jobs with a ValueError naming it.
     """
-    keys = list(_keys(3, n_max))
-    if not keys:  # GP(3,1) is the least valid pair
+    if not _check_sweep(3, n_max):  # GP(3,1) is the least valid pair
         raise ValueError(f"n_max must be at least 3, got {n_max}")
-    _check_sweep(keys)
-    groups = _map(_verify_pair, keys, jobs)
+    groups = _map(_verify_pair, list(_keys(3, n_max)), jobs)
     checks = tuple(c for group in groups for c in group)
     notes = (
         "(8,3): " + NOTE_8_3,

@@ -27,6 +27,7 @@ from .perms import WordTriple, _ring_size, format_word
 
 def two_adic(i: int) -> int:
     """Largest e with 2^e dividing i (i >= 1)."""
+    i = _integer("i", i)
     if i <= 0:
         raise ValueError(f"need a positive integer, got {i}")
     return (i & -i).bit_length() - 1

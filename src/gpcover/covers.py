@@ -10,7 +10,7 @@ from itertools import chain
 from operator import eq
 from typing import Optional, Sequence
 
-from .graphs import Graph, _colouring, _components, _from_pairs
+from .graphs import Graph, _colouring, _components, _from_pairs, _integer
 from .perms import Perm, _maps_edges_into, is_permutation
 
 
@@ -36,7 +36,9 @@ def kronecker_cover(g: Graph) -> Graph:
 
 def natural_swap(base_vertex_count: int) -> Perm:
     """The fixed-point-free involution v' <-> v'' of a cover on 2*n0 vertices."""
-    n0 = base_vertex_count
+    n0 = _integer("base vertex count", base_vertex_count)
+    if n0 < 0:
+        raise ValueError(f"base vertex count must be at least 0, got {n0}")
     return tuple((x + n0) % (2 * n0) for x in range(2 * n0))
 
 

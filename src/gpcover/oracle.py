@@ -32,13 +32,16 @@ counts, never on vertex names, so the sequence of cells commutes with
 relabeling, which the canonical form relies on.
 
 One backtracking loop finds automorphisms, under a partition on each side
-that every image must respect.  The full group is enumerated as cosets of
-the first vertex's stabilizer: one search for the stabilizer, and one
-individualization and refinement per image of that vertex not yet decided
-by the automorphisms found so far, each followed by a search that stops at
-its first leaf.  Covering involutions come from the same loop in a pruned
-mode that applies the involution clauses at every node, with the graph's
-own 2-coloring as the sides, so it never enumerates the rest of the group.
+that every image must respect; both of its modes read every neighbor.  The
+full group is enumerated as cosets of the stabilizer of r, the first
+member of the canonical search's target cell (vertex 0 in every GP graph
+and Kronecker cover), from that search's root node: its child iterator
+gives r and then each image of r not yet decided by the automorphisms
+found so far, individualized and refined.  One search finds the
+stabilizer, and one per image stops at its first leaf.  Covering
+involutions come from the same loop in a pruned mode that applies the
+involution clauses at every node, with the graph's own 2-coloring as the
+sides, so it never enumerates the rest of the group.
 Below the first vertex r's image x0 that mode also keeps distances: an
 involutive automorphism swaps r and x0, so it sends u to a vertex x with
 dist(x0, x) = dist(r, u) and dist(r, x) = dist(x0, u): one row from r and
@@ -279,7 +282,8 @@ def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
     ``graphs``, component by component from vertex 0: each candidate image
     of u must lie in the image cell that starts at u's domain cell start, be
     unused, and have, among already-used images, exactly the images of u's
-    already-mapped neighbors.  That bitmask equality enforces edge and
+    already-mapped neighbors.  Both modes read every neighbor of u, and an
+    unmapped one adds nothing.  That bitmask equality enforces edge and
     non-edge consistency simultaneously, so leaves are exactly the
     automorphisms.  A component root takes its candidates from that image
     cell, any other vertex from the neighbors of its pivot, an earlier
@@ -292,12 +296,13 @@ def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
     and choosing u -> x also fixes x -> u.  Because the partial map is then
     an involution on the mapped vertices, the bitmask test for u covers x's
     edges as well, so a vertex fixed as a partner is skipped at its BFS turn
-    instead of branched on.  Once the first vertex r has its image x0, every
-    later u -> x must also keep distances to both: dist(x0, x) = dist(r, u),
-    since an automorphism sends r to x0, and dist(r, x) = dist(x0, u), since
-    an involution sends x0 back to r.  The two distance rows come from
-    ``graphs._breadth_first`` and are compared entry by entry; an unreachable
-    vertex has distance -1 in both, so disconnected graphs stay exact.
+    instead of branched on; without sides none is mapped before its turn.
+    Once the first vertex r has its image x0, every later u -> x must also
+    keep distances to both: dist(x0, x) = dist(r, u), since an automorphism
+    sends r to x0, and dist(r, x) = dist(x0, u), since an involution sends
+    x0 back to r.  The two distance rows come from ``graphs._breadth_first``
+    and are compared entry by entry; an unreachable vertex has distance -1
+    in both, so disconnected graphs stay exact.
 
     The search keeps its own stack, so its depth is not limited by Python's
     recursion limit."""
@@ -321,11 +326,6 @@ def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
     pivot = [
         next((w for w in adj[u] if pos[w] < pos[u]), -1) for u in bfs_order
     ]
-    # The neighbors that may be mapped when a vertex's turn comes: the
-    # earlier ones, or with partners also any later one.
-    mapped_nbrs = [
-        [w for w in adj[u] if pairs or pos[w] < t] for t, u in enumerate(bfs_order)
-    ]
     # bit[mapping[w]] is 0 while w is unmapped (mapping[w] == -1).
     bit = [1 << v for v in range(n)] + [0]
 
@@ -335,16 +335,15 @@ def _backtrack(g, domain, image, sides) -> Iterator[Perm]:
     untried: list[list[int]] = [[] for _ in range(n + 1)]
     t = 0
     while True:
-        if pairs:
-            while t < n and mapping[bfs_order[t]] >= 0:
-                t += 1
+        while t < n and mapping[bfs_order[t]] >= 0:  # a partner, already fixed
+            t += 1
         images = untried[t]
         if t == n:
             yield tuple(mapping)
         else:
             u = bfs_order[t]
             req = 0
-            for w in mapped_nbrs[t]:
+            for w in adj[u]:
                 req |= bit[mapping[w]]
             blocked = used | masks[u] if pairs else used
             wu = want[u]
@@ -392,20 +391,22 @@ def automorphisms(g: Graph, *, involutions: bool = False) -> list[Perm]:
     Both modes run one backtracking search, :func:`_backtrack`, over g's BFS
     vertex order in which every image must respect an equitable partition.
 
-    The full group is enumerated as cosets of the stabilizer of r = 0, the
-    first vertex in the search's BFS order: Aut(g) is the union of
-    t_x Stab(r) over the orbit of r, where t_x is any automorphism sending r
-    to x (McKay & Piperno 2014).  r is individualized in a copy of the
-    coarsest equitable partition and refined; every automorphism fixing r
-    maps that partition onto itself, so Stab(r) is the search with it on
-    both sides.  Each other x in r's cell of the coarsest partition is
-    skipped if the automorphisms found so far already join it to r's orbit,
-    or to a vertex rejected before.  Otherwise x is individualized and
-    refined in the same way; an automorphism sending r to x maps r's
-    partition onto x's cell by cell, so x is rejected if the cell sizes
-    differ, and else one search for a first leaf decides it.  The orbit's
-    coset representatives are then products of the leaves found, along a
-    BFS of the orbit from r (a Schreier transversal).
+    The full group is enumerated as cosets of the stabilizer of a vertex r:
+    Aut(g) is the union of t_x Stab(r) over the orbit of r, where t_x is any
+    automorphism sending r to x (McKay & Piperno 2014).  The root is the
+    canonical search's :class:`_Node` on the coarsest equitable partition's
+    target cell, and r is that cell's first member (vertex 0 in every
+    regular graph, so in every GP graph and Kronecker cover); a discrete
+    partition leaves one search.  The first child from :func:`_next_child`
+    is r individualized and refined; every automorphism fixing r maps that
+    partition onto itself, so Stab(r) is the search with it on both sides.
+    Each later child is the next image x of r that Stab(r) and the leaves
+    found so far, joined into the node's orbits, do not join to an earlier
+    child.  An automorphism sending r to x maps r's partition onto x's
+    partition cell by cell, so x is rejected if the cell sizes differ, and
+    else one search for a first leaf decides it.  The orbit's coset
+    representatives are then products of the leaves found, along a BFS of
+    the orbit from r (a Schreier transversal).
 
     With ``involutions`` the sides are g's own 2-coloring,
     ``bipartition(g)``, and a graph that has none has no candidates.  The
@@ -429,30 +430,21 @@ def automorphisms(g: Graph, *, involutions: bool = False) -> list[Perm]:
         return [()]
     adj = adjacency(g)
     root = _equitable(adj)
-    if involutions:
+    open_cells = [(z, s) for s, z in enumerate(root[3]) if z > 1]
+    if involutions or not open_cells:
         return sorted(_backtrack(g, root, root, sides))
 
-    r = 0  # the first vertex in _backtrack's BFS order
-    s = root[2][r]
-    cell = root[0][s:s + root[3][s]]
-    fixed = _individualized(adj, root, r) if len(cell) > 1 else root
+    node = _Node(root, min(open_cells)[1], list(range(n)))
+    r, fixed = _next_child(adj, node)
     stabilizer = list(_backtrack(g, fixed, fixed, None))
-    orbits = list(range(n))
     for h in stabilizer:
-        _join(orbits, h)
+        _join(node.orbits, h)
     leaves: list[Perm] = []  # the first leaf of each root image that has one
-    rejected: list[int] = []
-    for x in cell:
-        rx = _find(orbits, x)
-        if rx == _find(orbits, r) or any(_find(orbits, y) == rx for y in rejected):
-            continue
-        part = _individualized(adj, root, x)
+    for _, part in iter(lambda: _next_child(adj, node), None):
         leaf = next(_backtrack(g, fixed, part, None), None) if part[3] == fixed[3] else None
-        if leaf is None:
-            rejected.append(x)
-        else:
+        if leaf is not None:
             leaves.append(leaf)
-            _join(orbits, leaf)
+            _join(node.orbits, leaf)
 
     generators = stabilizer + leaves
     transversal = {r: tuple(range(n))}
@@ -515,7 +507,8 @@ def _canonical_edges(g: Graph) -> tuple[tuple[int, int], ...]:
 
 
 class _Node:
-    """An inner node of the canonical-form search tree on the current path.
+    """An inner node of the canonical-form search tree on the current path,
+    or the root of the whole-group enumeration in :func:`automorphisms`.
 
     ``part`` is the node's partition, which the search never changes once
     the node exists, and ``start`` the start of its target cell, whose
@@ -567,7 +560,8 @@ def _next_child(adj, node: _Node):
     """The next child of node outside the orbits of its explored siblings,
     as (vertex, partition), or None.  The child's partition is a copy of
     node's in which the vertex moves to the front of the target cell as a
-    singleton, refined from that singleton."""
+    singleton, refined from that singleton.  Both trees step with it; at
+    the whole-group root the first child is r and each later one an image."""
     for v in node.untried:
         rv = _find(node.orbits, v)
         if any(_find(node.orbits, u) == rv for u in node.done):

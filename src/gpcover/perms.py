@@ -31,6 +31,9 @@ def _ring_size(n: int) -> int:
 
 
 def identity(n: int) -> Perm:
+    n = _integer("n", n)
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     return tuple(range(n))
 
 
@@ -47,6 +50,9 @@ def compose(p: Perm, q: Perm) -> Perm:
     """p after q: (p.q)(i) = p(q(i))."""
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
+    for m in (p, q):
+        if not is_permutation(m):
+            raise ValueError(f"cannot compose: {tuple(m)!r} is not a permutation")
     return tuple(p[q[i]] for i in range(len(q)))
 
 

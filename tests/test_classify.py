@@ -29,6 +29,15 @@ class TestTwoAdic:
         with pytest.raises(ValueError):
             two_adic(0)
 
+    @pytest.mark.parametrize("i, message", [
+        (2.5, "i 2.5 is not an integer"),
+        ("4", "i '4' is not an integer"),
+        (-4, "need a positive integer, got -4"),
+    ])
+    def test_bad_argument_is_named(self, i, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            two_adic(i)
+
 
 class TestQValue:
     def test_values(self):

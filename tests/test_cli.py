@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -300,6 +301,9 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--max-n", "60")
         assert code == 0
         assert out.splitlines()[-1] == "2008/2008 checks passed"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e9bebf7dabb02fa9081665ee621d99a1975bcd54d4a261f672a5e5e25d0f8a15"
+        )
 
     @pytest.mark.parametrize("argv,option", [
         (["--max-n", "2"], "--max-n"),
@@ -418,6 +422,30 @@ def test_out_of_memory_is_one_error_line():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: export --n 10000000: out of memory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-n", "100000"],
+    ["census", "--max-n", "100000", "--oracle"],
+], ids=["verify", "census"])
+def test_a_sweep_far_past_the_bound_is_refused_before_its_keys_are_listed(argv):
+    # Listing the 2.5e9 pairs first would run out of memory under this
+    # limit, which is set in the child process only.
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from gpcover.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    env = {k: v for k, v in os.environ.items() if k != "GPCOVER_ORACLE_BOUND"}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "graph has 200000 vertices, oracle bound is 120" in proc.stderr
 
 
 def test_module_entry_point():

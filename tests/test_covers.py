@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gpcover.graphs import bipartition, connected_components, degrees, graph
@@ -69,6 +71,15 @@ class TestNaturalSwap:
         g = gp(GpParams(5, 2))
         cover = kronecker_cover(g)
         assert is_isomorphic(quotient(cover, natural_swap(10)), g)
+
+    @pytest.mark.parametrize("n0, message", [
+        (2.5, "base vertex count 2.5 is not an integer"),
+        ("4", "base vertex count '4' is not an integer"),
+        (-2, "base vertex count must be at least 0, got -2"),
+    ])
+    def test_bad_size_is_named(self, n0, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            natural_swap(n0)
 
 
 class TestIsKroneckerInvolution:

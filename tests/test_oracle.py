@@ -420,6 +420,33 @@ class TestAutomorphisms:
         assert len(automorphisms(gp(GpParams(*nk)))) == order
         assert calls.count("refine") <= refinements and calls.count("search") <= searches
 
+    @pytest.mark.parametrize("g,order,refinements,searches,never", [
+        # The star: the target cell is the leaves, so the centre stays put.
+        (graph(4, [(0, 1), (0, 2), (0, 3)]), 6, 3, 2, {0}),
+        (graph(3, [(0, 1)]), 2, 3, 2, {2}),
+        # The spider's coarsest equitable partition is already discrete.
+        (graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]), 1, 1, 1, set(range(7))),
+    ], ids=["star", "edge_and_isolated_vertex", "spider"])
+    def test_search_effort_on_irregular_graphs(self, monkeypatch, g, order, refinements,
+                                               searches, never):
+        # The root is the canonical search's node on the first smallest
+        # non-singleton cell of the coarsest equitable partition; a discrete
+        # partition leaves one search and no individualization.
+        calls, individualized = [], []
+        refine_in_place, backtrack = oracle._refine, oracle._backtrack
+        individualize = oracle._individualized
+        monkeypatch.setattr(oracle, "_refine",
+                            lambda *args: calls.append("refine") or refine_in_place(*args))
+        monkeypatch.setattr(oracle, "_backtrack",
+                            lambda *args: calls.append("search") or backtrack(*args))
+        monkeypatch.setattr(oracle, "_individualized",
+                            lambda adj, part, v: individualized.append(v)
+                            or individualize(adj, part, v))
+        auts = automorphisms(g)
+        assert len(auts) == order and auts == reference_automorphisms(g)
+        assert calls.count("refine") <= refinements and calls.count("search") <= searches
+        assert never.isdisjoint(individualized)
+
     @pytest.mark.parametrize("n", [40, 59, 60])
     def test_group_orders_at_the_full_oracle_bound(self, n):
         # Frucht, Graver & Watkins (1971): 4n when k^2 = +-1 (mod n), else

@@ -65,6 +65,16 @@ class TestGroupOps:
         with pytest.raises(ValueError, match="length"):
             compose(rotation(3), rotation(4))
 
+    @pytest.mark.parametrize("fn, args, message", [
+        (identity, (2.5,), "n 2.5 is not an integer"),
+        (identity, (-1,), "n must be at least 0, got -1"),
+        (compose, ((0, 1), (0, 1.0)), "(0, 1.0) is not a permutation"),
+        (compose, ((0, 0), (0, 1)), "(0, 0) is not a permutation"),
+    ], ids=["identity-float", "identity-negative", "compose-float", "compose-repeat"])
+    def test_bad_size_or_entry_is_named(self, fn, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fn(*args)
+
     def test_negative_power(self):
         p = rotation(5)
         assert power(p, -2) == inverse(power(p, 2))
