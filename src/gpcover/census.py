@@ -24,7 +24,7 @@ from .families import GpParams, gp
 from .classify import Case, Classification, classify
 from .covers import _cover_map, kronecker_cover, kronecker_involution_failure
 from .oracle import check_bound, is_isomorphic, kronecker_involutions, quotients_up_to_iso
-from .graphs import Graph, _integer, encode_graph6
+from .graphs import Graph, _at_least, _integer, encode_graph6
 from .perms import Perm, _maps_edges_into, format_word, from_triple
 
 CSV_COLUMNS = (
@@ -61,26 +61,21 @@ def _keys(n_min: int, n_max: int, include_nonbipartite: bool = True):
                 yield n, k
 
 
-def _check_sweep(n_min: int, n_max: int, include_nonbipartite: bool = True) -> bool:
-    """Whether :func:`_keys` has a key in the range; a range whose largest
-    GP(n,k) (2n vertices) is past the oracle bound is refused first, before
-    any key is listed.  Every even n >= 4 has a key, so only n_max and
-    n_max - 1 are tried."""
+def _check_sweep(n_min: int, n_max: int, include_nonbipartite: bool = True) -> None:
+    """Refuse a range whose largest GP(n,k) (2n vertices) is past the
+    oracle bound, before any key of :func:`_keys` is listed.  Every even
+    n >= 4 has a key, so only n_max and n_max - 1 are tried."""
     n_min, n_max = _integer("n_min", n_min), _integer("n_max", n_max)
     for n in range(n_max, max(n_min, n_max - 1) - 1, -1):
         if next(_keys(n, n, include_nonbipartite), None):
             check_bound(2 * n)
-            return True
-    return False
+            return
 
 
 def _map(fn, keys, jobs: int) -> list:
     """fn over keys, in key order, serially or in at most one worker
     process per key; jobs, the most workers, must be an integer >= 1."""
-    jobs = _integer("jobs", jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    workers = min(jobs, len(keys))
+    workers = min(_at_least("jobs", jobs, 1), len(keys))
     if workers > 1:
         # Imported here, not in the header: it loads all of multiprocessing,
         # which a serial sweep, and so every plain `import gpcover`, never uses.
@@ -269,8 +264,7 @@ def verify(n_max: int, jobs: int = 1) -> VerifyReport:
     vertex bound is refused with SearchBoundExceeded before any pair is
     listed or searched, and a bad n_max or jobs with a ValueError naming it.
     """
-    if not _check_sweep(3, n_max):  # GP(3,1) is the least valid pair
-        raise ValueError(f"n_max must be at least 3, got {n_max}")
+    _check_sweep(3, _at_least("n_max", n_max, 3))  # GP(3,1) is the least valid pair
     groups = _map(_verify_pair, list(_keys(3, n_max)), jobs)
     checks = tuple(c for group in groups for c in group)
     notes = (

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .graphs import Graph, _from_pairs, _integer, graph
+from .graphs import Graph, _at_least, _from_pairs, _integer, graph
 from .perms import Perm, _ring_size, reflection, rim_swap, rotation
 
 
@@ -24,8 +24,7 @@ class GpParams:
         for name in ("n", "k"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         _ring_size(self.n)
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+        _at_least("k", self.k, 1)
         if 2 * self.k >= self.n:
             raise ValueError(f"k={self.k} violates k < n/2 for n={self.n}")
 

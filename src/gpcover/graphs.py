@@ -49,16 +49,27 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} {value!r} is not an integer") from None
 
 
+def _at_least(name: str, value, low: int) -> int:
+    """value as an int >= low, or ValueError naming it if it is none."""
+    value = _integer(name, value)
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple graph, canonical by construction: an int vertex count n >= 0
     and int edges (lo, hi), 0 <= lo < hi < n, strictly increasing by
     lo * n + hi, also after copy, pickle or ``dataclasses.replace``.
 
-    Duplicate edges are merged, since two edges may collapse onto one.  A
-    loop (a broken construction upstream, e.g. a quotient by a map that is
-    not a covering involution) and an out-of-range or non-integer endpoint
-    are ValueErrors naming the first bad edge in input order.
+    Duplicate edges are merged, since two edges may collapse onto one.  One
+    walk over the edges, in input order, refuses the first bad edge with a
+    ValueError naming it.  Each edge is checked for, in this order: not
+    being two endpoints, a loop (a broken construction upstream, e.g. a
+    quotient by a map that is not a covering involution), a non-integer
+    endpoint and an out-of-range endpoint.  The vertex count is checked
+    after the walk.
     """
 
     vertex_count: int
@@ -66,25 +77,23 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = _integer("vertex count", self.vertex_count)
-        edges = self.edges if isinstance(self.edges, (list, tuple)) else list(self.edges)
-        try:
-            keys = {u * n + v if -1 < u < v < n else v * n + u if -1 < v < u < n else -1
-                    for u, v in edges}
-        except (TypeError, ValueError):  # malformed edges: the walk re-raises
-            keys = {-1}
-        # A non-int endpoint (1.5, 2.0) makes its key, and so the sum, non-int.
-        if -1 in keys or type(sum(keys)) is not int:
-            keys = set()
-            for u, v in edges:
-                if u == v:
-                    raise ValueError(f"loop edge at vertex {u}")
-                try:
-                    lo, hi = sorted(map(index, (u, v)))
-                except TypeError:
-                    raise ValueError(f"edge ({u!r},{v!r}) has a non-integer endpoint") from None
-                if not (0 <= lo and hi < n):
-                    raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
-                keys.add(lo * n + hi)
+        keys = set()
+        for e in self.edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair of endpoints") from None
+            if u == v:
+                raise ValueError(f"loop edge at vertex {u}")
+            try:
+                lo, hi = index(u), index(v)
+            except TypeError:
+                raise ValueError(f"edge ({u!r},{v!r}) has a non-integer endpoint") from None
+            if lo > hi:
+                lo, hi = hi, lo
+            if not (0 <= lo and hi < n):
+                raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
+            keys.add(lo * n + hi)
         if n < 0:
             raise ValueError("vertex_count must be non-negative")
         object.__setattr__(self, "vertex_count", n)

@@ -430,11 +430,10 @@ def automorphisms(g: Graph, *, involutions: bool = False) -> list[Perm]:
         return [()]
     adj = adjacency(g)
     root = _equitable(adj)
-    open_cells = [(z, s) for s, z in enumerate(root[3]) if z > 1]
-    if involutions or not open_cells:
+    if involutions or max(root[3]) == 1:  # a discrete partition: one search
         return sorted(_backtrack(g, root, root, sides))
 
-    node = _Node(root, min(open_cells)[1], list(range(n)))
+    node = _Node(root, list(range(n)))
     r, fixed = _next_child(adj, node)
     stabilizer = list(_backtrack(g, fixed, fixed, None))
     for h in stabilizer:
@@ -510,20 +509,23 @@ class _Node:
     """An inner node of the canonical-form search tree on the current path,
     or the root of the whole-group enumeration in :func:`automorphisms`.
 
-    ``part`` is the node's partition, which the search never changes once
-    the node exists, and ``start`` the start of its target cell, whose
-    members are individualized in turn.  ``orbits`` is the union-find of
-    the known automorphisms that fix the path's individualized vertices
-    above this node: the recorded ones (:func:`_known_automorphisms`) and
-    those found at leaves, both those stored when the node was made and
-    those found while it is on the path."""
+    ``part`` is the node's partition, never discrete, which the search
+    never changes once the node exists; ``start`` is the start of its
+    target cell, the first smallest non-singleton cell, whose members are
+    individualized in turn.  ``orbits`` is the union-find of the known
+    automorphisms that fix the path's individualized vertices above this
+    node: the recorded ones (:func:`_known_automorphisms`) and those found
+    at leaves, both those stored when the node was made and those found
+    while it is on the path."""
 
     __slots__ = ("part", "start", "untried", "done", "orbits")
 
-    def __init__(self, part, start, orbits):
+    def __init__(self, part, orbits):
+        size = part[3]
+        start = min((z, s) for s, z in enumerate(size) if z > 1)[1]
         self.part = part
         self.start = start
-        self.untried = iter(part[0][start:start + part[3][start]])
+        self.untried = iter(part[0][start:start + size[start]])
         self.done: list[int] = []
         self.orbits = orbits
 
@@ -630,13 +632,12 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
     best: Optional[tuple] = None  # (certificate, vertex order, path)
     while True:
         order, pos, _, size = part
-        open_cells = [(z, s) for s, z in enumerate(size) if z > 1]
-        if open_cells and not _homogeneous(adj, part):
+        if max(size) > 1 and not _homogeneous(adj, part):
             orbits = list(range(n))
             for a in known:
                 if all(a[v] == v for v in path):
                     _join(orbits, a)
-            nodes.append(_Node(part, min(open_cells)[1], orbits))
+            nodes.append(_Node(part, orbits))
         else:
             cert = (tuple(shapes), _relabeled_edges(g, pos))
             if target is not None and cert <= target:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Sequence
 
-from .graphs import Graph, _integer
+from .graphs import Graph, _at_least, _integer
 
 Perm = tuple[int, ...]
 
@@ -24,17 +24,11 @@ _SUPERSCRIPTS = str.maketrans("0123456789-", "⁰¹²³⁴⁵⁶⁷⁸⁹⁻")
 def _ring_size(n: int) -> int:
     """n as the int length of a ring Z_n, which every GP word and every
     family needs >= 3."""
-    n = _integer("n", n)
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
-    return n
+    return _at_least("n", n, 3)
 
 
 def identity(n: int) -> Perm:
-    n = _integer("n", n)
-    if n < 0:
-        raise ValueError(f"n must be at least 0, got {n}")
-    return tuple(range(n))
+    return tuple(range(_at_least("n", n, 0)))
 
 
 def is_permutation(p: Sequence[int]) -> bool:
@@ -67,6 +61,8 @@ def inverse(p: Perm) -> Perm:
 
 def power(p: Perm, m: int) -> Perm:
     m = _integer("exponent", m)
+    if not is_permutation(p):
+        raise ValueError(f"no power: {tuple(p)!r} is not a permutation")
     if m < 0:
         return power(inverse(p), -m)
     result = identity(len(p))

@@ -1,8 +1,23 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 settings.register_profile("ci", max_examples=60, deadline=None, derandomize=True)
 settings.load_profile("ci")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture
+def child_env():
+    """The environment for a child Python process that imports this
+    checkout's gpcover: this one with src put first on PYTHONPATH.  The
+    ``pythonpath`` setting in pyproject.toml reaches only pytest's own
+    sys.path, not a child's, and the package need not be installed."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 @pytest.fixture(scope="session")

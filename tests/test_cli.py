@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import re
 import shlex
 import subprocess
@@ -407,18 +406,24 @@ def test_unwritable_output_path_is_one_error_line(capsys, tmp_path, argv):
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
-def test_out_of_memory_is_one_error_line():
-    # The address-space limit is set in the child process only.
+def run_with_1gib_limit(env, *argv):
+    """The CLI on argv in a child process under a 1 GiB address-space
+    limit, which is set in the child process only."""
     child = ("import resource, sys\n"
              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
              "from gpcover.cli import main\n"
              "sys.exit(main(sys.argv[1:]))\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "export", "--family", "gp", "--n", "10000000", "--k", "3"],
+    return subprocess.run(
+        [sys.executable, "-c", child, *argv],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
+
+
+def test_out_of_memory_is_one_error_line(child_env):
+    proc = run_with_1gib_limit(child_env, "export", "--family", "gp", "--n", "10000000", "--k", "3")
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: export --n 10000000: out of memory\n"
@@ -428,31 +433,21 @@ def test_out_of_memory_is_one_error_line():
     ["verify", "--max-n", "100000"],
     ["census", "--max-n", "100000", "--oracle"],
 ], ids=["verify", "census"])
-def test_a_sweep_far_past_the_bound_is_refused_before_its_keys_are_listed(argv):
-    # Listing the 2.5e9 pairs first would run out of memory under this
-    # limit, which is set in the child process only.
-    child = ("import resource, sys\n"
-             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-             "from gpcover.cli import main\n"
-             "sys.exit(main(sys.argv[1:]))\n")
-    env = {k: v for k, v in os.environ.items() if k != "GPCOVER_ORACLE_BOUND"}
-    proc = subprocess.run(
-        [sys.executable, "-c", child, *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
+def test_a_sweep_far_past_the_bound_is_refused_before_its_keys_are_listed(child_env, argv):
+    # Listing the 2.5e9 pairs first would run out of memory under this limit.
+    env = {k: v for k, v in child_env.items() if k != "GPCOVER_ORACLE_BOUND"}
+    proc = run_with_1gib_limit(env, *argv)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "graph has 200000 vertices, oracle bound is 120" in proc.stderr
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "gpcover", "classify", "--n", "6", "--k", "1"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert "A1" in proc.stdout

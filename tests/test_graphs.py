@@ -94,7 +94,10 @@ def reference_graph(vertex_count, edges):
     same message."""
     canon = set()
     for e in edges:
-        u, v = e
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {e!r} is not a pair of endpoints") from None
         if u == v:
             raise ValueError(f"loop edge at vertex {u}")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -294,6 +297,16 @@ class TestConstruction:
     def test_non_integer_endpoint_rejected(self, edges, named):
         with pytest.raises(ValueError, match=re.escape(f"edge {named} has a non-integer endpoint")):
             graph(3, edges)
+
+    @pytest.mark.parametrize("edges, named", [
+        ([(0, 1, 2)], "(0, 1, 2)"),
+        ([(0, 1), (0,), (1, 1)], "(0,)"),
+        ([0], "0"),
+    ], ids=["three-endpoints", "one-endpoint", "an-int"])
+    def test_edge_that_is_no_pair_rejected(self, edges, named):
+        for build in (Graph, graph):
+            with pytest.raises(ValueError, match=re.escape(f"edge {named} is not a pair of endpoints")):
+                build(3, edges)
 
     @pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
     def test_non_integer_vertex_count_rejected(self, count):

@@ -13,7 +13,6 @@ binds ``b``; ``from a import b`` binds ``b``.  ``__init__.py`` is exempt
 """
 import ast
 import inspect
-import os
 import re
 import subprocess
 import sys
@@ -358,22 +357,21 @@ def test_detector_flags_every_memo_spelling():
 
 # Loading concurrent.futures' process pool pulls in all of multiprocessing,
 # which only a sweep with workers uses, so census._map imports it only then.
-# Each probe runs in a fresh interpreter on this checkout's sources and
-# compares sys.modules with what that interpreter had loaded at start-up, so
-# modules that site-packages' .pth files load do not count.
+# Each probe runs in a fresh interpreter on this checkout's sources (the
+# ``child_env`` fixture) and compares sys.modules with what that interpreter
+# had loaded at start-up, so modules that site-packages' .pth files load do
+# not count.
 
 POOL_MODULES = ("multiprocessing", "concurrent.futures")
 
 
-def fresh_run(*argv: str) -> subprocess.CompletedProcess:
-    paths = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+def fresh_run(env: dict, *argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, check=True, env=env
     )
 
 
-def pool_modules_loaded_by(statement: str) -> list[str]:
+def pool_modules_loaded_by(env: dict, statement: str) -> list[str]:
     """The process-pool modules a fresh interpreter loads to run statement."""
     script = (
         "import sys\n"
@@ -381,7 +379,7 @@ def pool_modules_loaded_by(statement: str) -> list[str]:
         f"{statement}\n"
         "print(sorted(set(sys.modules) - before))\n"
     )
-    added = ast.literal_eval(fresh_run("-c", script).stdout.splitlines()[-1])
+    added = ast.literal_eval(fresh_run(env, "-c", script).stdout.splitlines()[-1])
     return [name for name in added if name.startswith(POOL_MODULES)]
 
 
@@ -390,18 +388,18 @@ def pool_modules_loaded_by(statement: str) -> list[str]:
     "import gpcover.cli",
     "from gpcover.cli import main; main(['verify', '--max-n', '8'])",
 ], ids=["package", "cli", "serial_verify"])
-def test_process_pool_is_not_loaded_without_workers(statement):
-    assert pool_modules_loaded_by(statement) == []
+def test_process_pool_is_not_loaded_without_workers(child_env, statement):
+    assert pool_modules_loaded_by(child_env, statement) == []
 
 
-def test_probe_sees_the_process_pool_load():
-    loaded = pool_modules_loaded_by("from concurrent.futures import ProcessPoolExecutor")
+def test_probe_sees_the_process_pool_load(child_env):
+    loaded = pool_modules_loaded_by(child_env, "from concurrent.futures import ProcessPoolExecutor")
     assert "multiprocessing" in loaded and "concurrent.futures.process" in loaded
 
 
-def test_workers_from_a_cold_interpreter_print_the_serial_output():
+def test_workers_from_a_cold_interpreter_print_the_serial_output(child_env):
     serial, parallel = (
-        fresh_run("-m", "gpcover", "verify", "--max-n", "8", "--jobs", jobs).stdout
+        fresh_run(child_env, "-m", "gpcover", "verify", "--max-n", "8", "--jobs", jobs).stdout
         for jobs in ("1", "2")
     )
     assert parallel == serial

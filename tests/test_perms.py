@@ -91,6 +91,13 @@ class TestGroupOps:
         with pytest.raises(ValueError, match=re.escape(f"exponent {m!r} is not an integer")):
             power(identity(3), m)
 
+    @pytest.mark.parametrize("m", [0, 1, 2, -1])
+    @pytest.mark.parametrize("p", [(5, 5), (1, 1, 0), (0, 1.0)])
+    def test_power_names_a_map_that_is_no_permutation(self, p, m):
+        # One message for every exponent, also 0, which never reaches compose.
+        with pytest.raises(ValueError, match=re.escape(f"no power: {p!r} is not a permutation")):
+            power(p, m)
+
 
 class TestGenerators:
     def test_reflection_is_involution(self):
