@@ -25,7 +25,7 @@ from .classify import Case, Classification, classify
 from .covers import _cover_map, kronecker_cover, kronecker_involution_failure
 from .oracle import check_bound, is_isomorphic, kronecker_involutions, quotients_up_to_iso
 from .graphs import Graph, _at_least, _integer, encode_graph6
-from .perms import Perm, _maps_edges_into, format_word, from_triple
+from .perms import Perm, _maps_edges_into, format_word, from_triple, is_permutation
 
 CSV_COLUMNS = (
     "n", "k", "case", "involution", "quotient",
@@ -236,18 +236,18 @@ def _claimed_involution_failure(g: Graph, c: Classification) -> str:
 def _round_trip(g: Graph, involutions: list[Perm], cover: Graph) -> bool:
     """Whether cover is isomorphic to g, shown by a checked witness: for
     some covering involution w of g, the map phi of ``covers._cover_map`` is
-    a bijection onto cover's vertices that sends every edge of g to an edge
-    of cover, and the two graphs have equally many edges.  A bijection maps
-    distinct edges to distinct edges, so with equal counts phi is an
-    isomorphism.  Each oracle class is ``quotient(g, w)`` for one of g's
-    covering involutions w, so its cover always has such a witness; a cover
-    labelled any other way fails, even when it is isomorphic to g."""
-    if len(g.edges) != len(cover.edges):
+    a bijection (``perms.is_permutation``, the graphs having equally many
+    vertices and equally many edges) that sends every edge of g to an edge
+    of cover.  A bijection maps distinct edges to distinct edges, so with
+    equal counts phi is an isomorphism.  Each oracle class is
+    ``quotient(g, w)`` for one of g's covering involutions w, so its cover
+    always has such a witness; a cover labelled any other way fails, even
+    when it is isomorphic to g."""
+    if (g.vertex_count, len(g.edges)) != (cover.vertex_count, len(cover.edges)):
         return False
-    vertices = list(range(cover.vertex_count))
     for w in involutions:
         phi = _cover_map(g, w)
-        if sorted(phi) == vertices and _maps_edges_into(g, phi, cover):
+        if is_permutation(phi) and _maps_edges_into(g, phi, cover):
             return True
     return False
 

@@ -125,19 +125,15 @@ def _cmd_quotient(args) -> int:
     elif not c.covered:
         raise ValueError(f"GP({args.n},{args.k}) is not a Kronecker cover "
                          f"({c.case.value}): no covering involution, no quotient")
-    elif args.a is not None:
-        if c.case in (Case.B1, Case.B2):
-            family = involution_family(p)
-        else:  # half-turn cases admit exactly one shift
-            family = [c.canonical_involution]
-        if args.a not in [t.a for t in family]:
-            raise ValueError(
-                f"shift {args.a} not in the involution family "
-                f"{[t.a for t in family]}"
-            )
-        perm = from_triple(args.n, args.k, next(t for t in family if t.a == args.a))
     else:
-        perm = from_triple(args.n, args.k, c.canonical_involution)
+        word = c.canonical_involution
+        if args.a is not None:  # only B1/B2 admit more than one shift
+            family = involution_family(p) if c.case in (Case.B1, Case.B2) else [word]
+            word = next((t for t in family if t.a == args.a), None)
+            if word is None:
+                raise ValueError(f"shift {args.a} not in the involution family "
+                                 f"{[t.a for t in family]}")
+        perm = from_triple(args.n, args.k, word)
     q = quotient(gp(p), perm)
     if args.dot:
         _write_text(args.dot, to_dot(q))

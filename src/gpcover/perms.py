@@ -60,19 +60,19 @@ def inverse(p: Perm) -> Perm:
 
 
 def power(p: Perm, m: int) -> Perm:
+    """p^m for every integer m: each point moves m steps along its cycle of p."""
     m = _integer("exponent", m)
     if not is_permutation(p):
         raise ValueError(f"no power: {tuple(p)!r} is not a permutation")
-    if m < 0:
-        return power(inverse(p), -m)
-    result = identity(len(p))
-    base = p
-    while m:
-        if m & 1:
-            result = compose(base, result)
-        base = compose(base, base)
-        m >>= 1
-    return result
+    image: list = [None] * len(p)
+    for start in range(len(p)):
+        if image[start] is None:
+            cycle = [start]
+            while p[cycle[-1]] != start:
+                cycle.append(p[cycle[-1]])
+            for j, x in enumerate(cycle):
+                image[x] = cycle[(j + m) % len(cycle)]
+    return tuple(image)
 
 
 # The Desargues graph GP(10,3) redrawn as C6 x P3 (Cartesian) with the middle
@@ -124,6 +124,8 @@ def _affine(n: int, t: int, a: int, swap: bool) -> Perm:
 def from_triple(n: int, k: int, t: WordTriple) -> Perm:
     """Evaluate alpha^a beta^b gamma^c as a permutation of the 2n GP vertices."""
     k = _integer("k", k)
+    if not isinstance(t, WordTriple):
+        raise ValueError(f"word {t!r} is not a WordTriple")
     perm = _affine(n, t.step(k), t.a, bool(t.c))  # refuses a bad n before the test
     if t.c and k * k % n not in (1, n - 1):
         raise ValueError(f"gamma is not an automorphism of GP({n},{k}): "
@@ -155,6 +157,8 @@ def format_word(t: WordTriple | str, ascii_only: bool = False) -> str:
         if t != "delta":
             raise ValueError(f"unknown special word {t!r}")
         return "D" if ascii_only else "Δ"
+    if not isinstance(t, WordTriple):
+        raise ValueError(f"word {t!r} is not a WordTriple")
     parts_ascii: list[str] = []
     parts_uni: list[str] = []
     if t.a:

@@ -140,6 +140,13 @@ class TestQuotientCommand:
         code, out, err = run(capsys, "quotient", *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("n, k, a", [(18, 5, 9), (12, 5, 6), (10, 3, 5)],
+                             ids=["A2", "B1", "desargues"])
+    def test_canonical_shift_is_the_default(self, capsys, n, k, a):
+        default = run(capsys, "quotient", "--n", str(n), "--k", str(k))
+        chosen = run(capsys, "quotient", "--n", str(n), "--k", str(k), "--a", str(a))
+        assert default == chosen and default[0] == 0
+
     def test_dot_output(self, capsys, tmp_path):
         path = tmp_path / "q.dot"
         code, out, _ = run(

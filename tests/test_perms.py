@@ -1,7 +1,9 @@
+import random
 import re
 
 import pytest
 
+from gpcover import perms
 from gpcover.graphs import bipartition
 from gpcover.families import GpParams, gp, h_graph
 from gpcover.covers import quotient
@@ -97,6 +99,30 @@ class TestGroupOps:
         # One message for every exponent, also 0, which never reaches compose.
         with pytest.raises(ValueError, match=re.escape(f"no power: {p!r} is not a permutation")):
             power(p, m)
+
+    @pytest.mark.parametrize("m", [0, 1, -1, 299, -299])
+    def test_power_checks_its_map_once(self, monkeypatch, m):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return is_permutation(p)
+
+        monkeypatch.setattr(perms, "is_permutation", counted)
+        power(rotation(600), m)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_power_is_repeated_compose(self, n):
+        rng = random.Random(n)
+        maps = [identity(n), tuple((i + 1) % n for i in range(n))]
+        maps += [tuple(rng.sample(range(n), n)) for _ in range(4)]
+        for p in maps:
+            for sign, base in ((1, p), (-1, inverse(p))):
+                step = identity(n)
+                for m in range(2 * n + 3):
+                    assert power(p, sign * m) == step, (p, sign * m)
+                    step = compose(base, step)
 
 
 class TestGenerators:
@@ -267,6 +293,15 @@ class TestWordTriples:
     def test_format_word_unknown_special_rejected(self):
         with pytest.raises(ValueError, match="unknown special word 'gamma'"):
             format_word("gamma")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: from_triple(12, 5, (6, 0, 1)), "word (6, 0, 1) is not a WordTriple"),
+        (lambda: from_triple(10, 3, "delta"), "word 'delta' is not a WordTriple"),
+        (lambda: format_word(5), "word 5 is not a WordTriple"),
+    ], ids=["from_triple-tuple", "from_triple-delta", "format_word-int"])
+    def test_a_word_that_is_no_word_triple_is_named(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 @pytest.mark.parametrize("build, n", [
