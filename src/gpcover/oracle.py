@@ -17,7 +17,11 @@ connected graph is kept on that graph, as its covering involutions are.
 An isomorphism test takes the second graph's and walks the first graph's
 tree toward it, stopping at the first leaf that meets it or at the first
 leaf or node that falls below it; the same walk uncut is the canonical-form
-search, so there is one search engine.
+search, so there is one search engine.  Quotients are grouped into
+isomorphism classes by such walks toward each class's first quotient, so a
+class costs one least certificate and every other quotient one walk; only
+two or more classes take canonical forms, to be ordered, and a lone
+quotient is not searched at all.
 
 A partition has one format throughout: the arrays [order, pos, start_of,
 size], in which each cell is a run of order named by its start position.
@@ -736,9 +740,19 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 def quotients_up_to_iso(g: Graph) -> list[Graph]:
     """One quotient per isomorphism class, over all covering involutions,
-    ordered by canonical form."""
-    classes: dict[bytes, Graph] = {}
+    ordered by canonical form.
+
+    Each quotient, in covering-involution order, joins the first class whose
+    representative it is isomorphic to, by :func:`is_isomorphic`'s walk
+    toward that representative's least certificate (kept on it), or else
+    starts a class as its representative.  Only two or more classes take
+    canonical forms, to be ordered, so a lone quotient is never searched
+    here."""
+    classes: list[Graph] = []
     for w in kronecker_involutions(g):
         q = quotient(g, w)
-        classes.setdefault(canonical_form(q), q)
-    return [classes[cf] for cf in sorted(classes)]
+        if not any(is_isomorphic(q, rep) for rep in classes):
+            classes.append(q)
+    if len(classes) > 1:
+        classes.sort(key=canonical_form)
+    return classes

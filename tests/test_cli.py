@@ -303,6 +303,13 @@ class TestVerifyCommand:
         assert "checks passed" in out
         assert "(8,3)" in err  # documented note goes to stderr
 
+    def test_pinned_small_sweep(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-n", "22")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b7866523f25fc94aae29eceaba1aba91133ef41c1469c90a1b0a9524f6105131"
+        )
+
     def test_full_oracle_bound(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-n", "60")
         assert code == 0

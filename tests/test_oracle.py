@@ -1374,6 +1374,36 @@ class TestQuotientClasses:
         assert len(classes) == 1
         assert is_isomorphic(classes[0], gp(GpParams(7, 3)))
 
+    def test_lone_quotient_is_not_searched(self, monkeypatch):
+        calls = []
+        search = oracle._canonical_search
+        monkeypatch.setattr(oracle, "_canonical_search",
+                            lambda *a: calls.append(1) or search(*a))
+        assert len(quotients_up_to_iso(gp(GpParams(14, 3)))) == 1
+        assert calls == []
+
+    def test_classes_are_first_seen_and_in_canonical_order(self):
+        g = gp(GpParams(10, 3))
+        classes = quotients_up_to_iso(g)
+        assert len(classes) == 2
+        forms = [canonical_form(q) for q in classes]
+        assert forms == sorted(forms)
+        quotients = [quotient(g, w) for w in kronecker_involutions(g)]
+        for q in classes:
+            form = canonical_form(q)
+            assert q == next(p for p in quotients if canonical_form(p) == form)
+
+    def test_classes_match_grouping_by_canonical_form(self, oracle_sweep):
+        # A second route to the classes: the first quotient per canonical
+        # form, in covering-involution order, sorted by form.
+        for (n, k), (invs, classes) in oracle_sweep.items():
+            g = gp(GpParams(n, k))
+            by_form = {}
+            for w in invs:
+                q = quotient(g, w)
+                by_form.setdefault(canonical_form(q), q)
+            assert classes == [by_form[form] for form in sorted(by_form)], (n, k)
+
     def test_16_7_empty(self):
         assert quotients_up_to_iso(gp(GpParams(16, 7))) == []
 
@@ -1401,13 +1431,14 @@ class TestQuotientClasses:
 class TestOracleMemos:
     def test_verify_sweep_stays_under_its_search_counts(self, monkeypatch):
         # Every search result is kept on the graph searched.  On this sweep
-        # that runs 38 full and 4 targeted canonical-form searches (on
-        # verify(40) 97/8, on verify(60) 219/15): one full search per
-        # covering involution's quotient, and the targeted ones for the
-        # symbolic quotients.  The round trip is a checked map and runs
-        # none; an isomorphism test in its place would run 22 full and 23
-        # targeted searches here.  The covering involutions are kept on
-        # each GP graph: one search for each of the 30 bipartite (n,k).
+        # that runs 4 full and 20 targeted canonical-form searches (on
+        # verify(40) 8/44, on verify(60) 15/101).  Quotients are grouped by
+        # walks toward each class's first quotient, which take its least
+        # certificate, so a graph with one covering involution runs none;
+        # two or more classes take canonical forms to be ordered.  A
+        # symbolic quotient equal to its class as a labelled graph needs no
+        # search.  The round trip is a checked map and runs none.  The covering involutions are kept on each GP graph: one
+        # search for each of the 30 bipartite (n,k).
         from gpcover.census import verify
 
         calls = {"full": 0, "targeted": 0, "automorphisms": 0}
@@ -1424,8 +1455,9 @@ class TestOracleMemos:
         monkeypatch.setattr(oracle, "_canonical_search", counted_search)
         monkeypatch.setattr(oracle, "automorphisms", counted_automorphisms)
         assert verify(22).all_passed
-        assert calls["full"] <= 38, calls
-        assert calls["targeted"] <= 4, calls
+        assert calls["full"] <= 4, calls
+        assert calls["targeted"] <= 20, calls
+        assert calls["full"] + calls["targeted"] <= 24, calls
         assert calls["automorphisms"] <= 30, calls
 
     def test_searched_graphs_die_with_their_last_reference(self):
