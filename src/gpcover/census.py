@@ -245,9 +245,10 @@ def _round_trip(g: Graph, involutions: list[Perm], cover: Graph) -> bool:
     when it is isomorphic to g."""
     if (g.vertex_count, len(g.edges)) != (cover.vertex_count, len(cover.edges)):
         return False
+    cover_edges = set(cover.edges)
     for w in involutions:
         phi = _cover_map(g, w)
-        if is_permutation(phi) and _maps_edges_into(g, phi, cover):
+        if is_permutation(phi) and _maps_edges_into(g, phi, cover_edges):
             return True
     return False
 

@@ -55,7 +55,7 @@ def kronecker_involution_failure(g: Graph, p: Sequence[int]) -> Optional[str]:
     colors = _colouring(g)
     if colors is None:
         return "graph is not bipartite"
-    if not _maps_edges_into(g, p, g):  # p is a permutation, checked above
+    if not _maps_edges_into(g, p, set(g.edges)):  # p is a permutation, checked above
         return "not an automorphism"
     if any(p[p[x]] != x for x in range(g.vertex_count)):
         return "not an involution"

@@ -18,10 +18,15 @@ An isomorphism test takes the second graph's and walks the first graph's
 tree toward it, stopping at the first leaf that meets it or at the first
 leaf or node that falls below it; the same walk uncut is the canonical-form
 search, so there is one search engine.  Quotients are grouped into
-isomorphism classes by such walks toward each class's first quotient, so a
-class costs one least certificate and every other quotient one walk; only
-two or more classes take canonical forms, to be ordered, and a lone
-quotient is not searched at all.
+isomorphism classes without searching most of them.  Conjugate covering
+involutions have isomorphic quotients, so an involution that the checked
+recorded maps conjugate from an earlier one is skipped; GP(n,k)'s alpha,
+beta and gamma generate its whole group but at seven (n,k) (Frucht,
+Graver & Watkins 1971), and every GP(n,k) with n <= 60 builds just one
+quotient per class.  Each quotient built is grouped by walks toward each
+class's first quotient, so a class costs one least certificate and every
+other quotient one walk; only two or more classes take canonical forms, to
+be ordered, and a lone quotient is not searched at all.
 
 A partition has one format throughout: the arrays [order, pos, start_of,
 size], in which each cell is a run of order named by its start position.
@@ -54,7 +59,8 @@ entry.  Each result still passes the clause checker in ``covers`` and is
 kept on the graph.
 Enumerating the whole group and filtering it is the independent route that
 the tests compare against.  Neither search reads the recorded
-automorphisms, so both stay independent of the builders.
+automorphisms, so both stay independent of the builders; only the
+canonical search and the grouping of quotients do, after the check.
 
 Every search refuses a graph with more vertices than :func:`vertex_bound`,
 which only ``GPCOVER_ORACLE_BOUND`` sets (default 120).  Sweeps call
@@ -72,7 +78,7 @@ from .graphs import (
     connected_components, degrees, encode_graph6, is_connected,
 )
 from .covers import is_kronecker_involution, quotient
-from .perms import Perm, is_automorphism
+from .perms import Perm, _maps_edges_into, is_permutation
 
 DEFAULT_VERTEX_BOUND = 120
 _BOUND_ENV = "GPCOVER_ORACLE_BOUND"
@@ -689,11 +695,13 @@ def _known_automorphisms(g: Graph) -> tuple[Perm, ...]:
     """The automorphisms that g's builder recorded, kept on g once each has
     been checked to be a permutation of g's vertices that maps every edge
     to an edge.  A recorded map that is not raises ValueError naming it, so
-    it never prunes a search."""
+    it never prunes a search.  All the maps are checked against one set of
+    g's edges."""
     n = g.vertex_count
+    edge_set = set(g.edges)
     known = []
     for name, p in _recorded_automorphisms(g):
-        if not (len(p) == n and is_automorphism(g, p)):
+        if not (len(p) == n and is_permutation(p) and _maps_edges_into(g, p, edge_set)):
             raise ValueError(f"recorded map {name} is not an automorphism of the graph")
         known.append(tuple(p))
     return tuple(known)
@@ -742,17 +750,40 @@ def quotients_up_to_iso(g: Graph) -> list[Graph]:
     """One quotient per isomorphism class, over all covering involutions,
     ordered by canonical form.
 
-    Each quotient, in covering-involution order, joins the first class whose
-    representative it is isomorphic to, by :func:`is_isomorphic`'s walk
-    toward that representative's least certificate (kept on it), or else
-    starts a class as its representative.  Only two or more classes take
-    canonical forms, to be ordered, so a lone quotient is never searched
-    here."""
+    The covering involutions are taken in their order.  One that an earlier
+    one reached by conjugation is skipped: an automorphism a of g sends the
+    orbits of w onto those of a w a^-1, so it is an isomorphism of their
+    quotients, and a w a^-1 is again a covering involution of g.  Any other
+    quotient joins the first class whose representative it is isomorphic
+    to, by :func:`is_isomorphic`'s walk toward that representative's least
+    certificate (kept on it), or else starts a class as its representative.
+    Then every conjugate of w under g's checked recorded maps
+    (:func:`_known_automorphisms`), closed under them, counts as reached.
+    Each class's representative is still its first quotient in involution
+    order.  A graph with one covering involution reads no recorded map, and
+    only two or more classes take canonical forms, to be ordered, so a lone
+    quotient is never searched here."""
+    involutions = kronecker_involutions(g)
+    maps = _known_automorphisms(g) if len(involutions) > 1 else ()
+    reached: set[Perm] = set()
     classes: list[Graph] = []
-    for w in kronecker_involutions(g):
+    for w in involutions:
+        if w in reached:
+            continue
         q = quotient(g, w)
         if not any(is_isomorphic(q, rep) for rep in classes):
             classes.append(q)
+        reached.add(w)
+        todo = [w]
+        for x in todo:  # todo grows as the closure's queue
+            for a in maps:
+                y = [0] * len(a)
+                for v, av in enumerate(a):  # y = a x a^-1 sends a(v) to a(x(v))
+                    y[av] = a[x[v]]
+                y = tuple(y)
+                if y not in reached:
+                    reached.add(y)
+                    todo.append(y)
     if len(classes) > 1:
         classes.sort(key=canonical_form)
     return classes

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
-from .graphs import Graph, _at_least, _integer
+from .graphs import Edge, Graph, _at_least, _integer
 
 Perm = tuple[int, ...]
 
@@ -184,14 +184,14 @@ def is_automorphism(g: Graph, p: Sequence[int]) -> bool:
         raise ValueError(
             f"permutation length {len(p)} != vertex count {g.vertex_count}"
         )
-    return is_permutation(p) and _maps_edges_into(g, p, g)
+    return is_permutation(p) and _maps_edges_into(g, p, set(g.edges))
 
 
-def _maps_edges_into(g: Graph, p: Sequence[int], h: Graph) -> bool:
-    """Whether the vertex map p sends every edge of g to an edge of h.  The
-    caller has checked what p must be: with g = h and p a permutation, this
-    makes p an automorphism."""
-    edge_set = set(h.edges)
+def _maps_edges_into(g: Graph, p: Sequence[int], edge_set: AbstractSet[Edge]) -> bool:
+    """Whether the vertex map p sends every edge of g into edge_set, the
+    edges of a graph h as a set, which a caller that checks several maps
+    against h builds once.  The caller has checked what p must be: with h
+    = g and p a permutation, this makes p an automorphism."""
     for u, v in g.edges:
         pu, pv = p[u], p[v]
         if ((pu, pv) if pu < pv else (pv, pu)) not in edge_set:

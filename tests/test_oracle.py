@@ -1340,6 +1340,8 @@ class TestRecordedAutomorphisms:
                 is_isomorphic(gp(GpParams(10, 2)), forged)  # forged is the target
             with pytest.raises(ValueError, match=name):
                 canonical_form(forged)  # a failed check keeps nothing on the graph
+            with pytest.raises(ValueError, match=f"recorded map {name} is not an automorphism"):
+                quotients_up_to_iso(forged)  # 11 involutions, conjugated by the record
             # The group enumeration and the involution search read no record.
             assert automorphisms(forged) == automorphisms(g)
             assert kronecker_involutions(forged) == kronecker_involutions(g)
@@ -1374,13 +1376,36 @@ class TestQuotientClasses:
         assert len(classes) == 1
         assert is_isomorphic(classes[0], gp(GpParams(7, 3)))
 
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        """Count the calls of each named oracle function, in order."""
+        calls = {name: 0 for name in names}
+        for name in names:
+            def counted(*args, name=name, call=getattr(oracle, name)):
+                calls[name] += 1
+                return call(*args)
+            monkeypatch.setattr(oracle, name, counted)
+        return calls
+
     def test_lone_quotient_is_not_searched(self, monkeypatch):
-        calls = []
-        search = oracle._canonical_search
-        monkeypatch.setattr(oracle, "_canonical_search",
-                            lambda *a: calls.append(1) or search(*a))
-        assert len(quotients_up_to_iso(gp(GpParams(14, 3)))) == 1
-        assert calls == []
+        # With one covering involution there is nothing to conjugate, so
+        # the recorded maps are not even checked.
+        g = gp(GpParams(14, 3))
+        assert len(kronecker_involutions(g)) == 1
+        calls = self.count_calls(monkeypatch, "_canonical_search", "_known_automorphisms")
+        assert len(quotients_up_to_iso(g)) == 1
+        assert calls == {"_canonical_search": 0, "_known_automorphisms": 0}
+
+    @pytest.mark.parametrize("n,k,involutions", [(24, 7, 3), (20, 9, 5), (12, 5, 3), (40, 9, 5)])
+    def test_conjugate_involutions_build_one_quotient(self, monkeypatch, n, k, involutions):
+        # alpha, beta and gamma conjugate the first covering involution onto
+        # every other one, so only the first quotient is built, and a lone
+        # class is not searched.
+        g = gp(GpParams(n, k))
+        assert len(kronecker_involutions(g)) == involutions
+        calls = self.count_calls(monkeypatch, "quotient", "_canonical_search")
+        assert len(quotients_up_to_iso(g)) == 1
+        assert calls == {"quotient": 1, "_canonical_search": 0}
 
     def test_classes_are_first_seen_and_in_canonical_order(self):
         g = gp(GpParams(10, 3))
@@ -1393,16 +1418,33 @@ class TestQuotientClasses:
             form = canonical_form(q)
             assert q == next(p for p in quotients if canonical_form(p) == form)
 
+    @staticmethod
+    def grouped_by_canonical_form(g, invs):
+        """A second route to the classes: the first quotient per canonical
+        form, in covering-involution order, sorted by form."""
+        by_form = {}
+        for w in invs:
+            q = quotient(g, w)
+            by_form.setdefault(canonical_form(q), q)
+        return [by_form[form] for form in sorted(by_form)]
+
     def test_classes_match_grouping_by_canonical_form(self, oracle_sweep):
-        # A second route to the classes: the first quotient per canonical
-        # form, in covering-involution order, sorted by form.
         for (n, k), (invs, classes) in oracle_sweep.items():
-            g = gp(GpParams(n, k))
-            by_form = {}
-            for w in invs:
-                q = quotient(g, w)
-                by_form.setdefault(canonical_form(q), q)
-            assert classes == [by_form[form] for form in sorted(by_form)], (n, k)
+            assert classes == self.grouped_by_canonical_form(gp(GpParams(n, k)), invs), (n, k)
+
+    def test_classes_past_the_sweep_match_grouping_by_canonical_form(self):
+        # The same second route for every bipartite GP(n,k), 42 <= n <= 60,
+        # with two or more covering involutions, where skipping conjugates
+        # could change the classes.
+        checked = 0
+        for n in range(42, 61, 2):
+            for k in range(1, n // 2, 2):
+                g = gp(GpParams(n, k))
+                invs = kronecker_involutions(g)
+                if len(invs) > 1:
+                    assert quotients_up_to_iso(g) == self.grouped_by_canonical_form(g, invs), (n, k)
+                    checked += 1
+        assert checked > 0
 
     def test_16_7_empty(self):
         assert quotients_up_to_iso(gp(GpParams(16, 7))) == []
@@ -1431,14 +1473,17 @@ class TestQuotientClasses:
 class TestOracleMemos:
     def test_verify_sweep_stays_under_its_search_counts(self, monkeypatch):
         # Every search result is kept on the graph searched.  On this sweep
-        # that runs 4 full and 20 targeted canonical-form searches (on
-        # verify(40) 8/44, on verify(60) 15/101).  Quotients are grouped by
-        # walks toward each class's first quotient, which take its least
-        # certificate, so a graph with one covering involution runs none;
-        # two or more classes take canonical forms to be ordered.  A
-        # symbolic quotient equal to its class as a labelled graph needs no
-        # search.  The round trip is a checked map and runs none.  The covering involutions are kept on each GP graph: one
-        # search for each of the 30 bipartite (n,k).
+        # that runs 4 full and 5 targeted canonical-form searches (on
+        # verify(40) 8/9, on verify(60) 15/16).  A covering involution that
+        # the recorded maps conjugate from an earlier one builds no
+        # quotient, and the other quotients are grouped by walks toward each
+        # class's first quotient, which take its least certificate; of all
+        # GP(n,k) with n <= 60 only GP(10,3) walks there.  A graph with one
+        # covering involution runs no search, and two or more classes take
+        # canonical forms to be ordered.  A symbolic quotient equal to its
+        # class as a labelled graph needs no search.  The round trip is a
+        # checked map and runs none.  The covering involutions are kept on
+        # each GP graph: one search for each of the 30 bipartite (n,k).
         from gpcover.census import verify
 
         calls = {"full": 0, "targeted": 0, "automorphisms": 0}
@@ -1456,8 +1501,8 @@ class TestOracleMemos:
         monkeypatch.setattr(oracle, "automorphisms", counted_automorphisms)
         assert verify(22).all_passed
         assert calls["full"] <= 4, calls
-        assert calls["targeted"] <= 20, calls
-        assert calls["full"] + calls["targeted"] <= 24, calls
+        assert calls["targeted"] <= 5, calls
+        assert calls["full"] + calls["targeted"] <= 9, calls
         assert calls["automorphisms"] <= 30, calls
 
     def test_searched_graphs_die_with_their_last_reference(self):
