@@ -1,4 +1,7 @@
-"""Generalized Petersen graphs, Kronecker covers, and their quotients."""
+"""Generalized Petersen graphs, Kronecker covers, and their quotients.
+
+Here ``census`` and ``classify`` are the functions, which hide the modules of
+the same names: reach those with ``importlib.import_module("gpcover.census")``."""
 
 from .graphs import (
     Graph,

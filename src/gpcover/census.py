@@ -53,12 +53,13 @@ class CensusRow:
 
 
 def _keys(n_min: int, n_max: int, include_nonbipartite: bool = True):
-    """Every valid (n,k) with n_min <= n <= n_max, ordered by (n,k)."""
+    """Every valid GpParams, n_min <= n <= n_max, by (n,k); non-bipartite ones only if asked."""
     n_min, n_max = _integer("n_min", n_min), _integer("n_max", n_max)
     for n in range(max(3, n_min), n_max + 1):
         for k in range(1, (n - 1) // 2 + 1):
-            if include_nonbipartite or (n % 2 == 0 and k % 2 == 1):
-                yield n, k
+            p = GpParams(n, k)
+            if include_nonbipartite or p.bipartite:
+                yield p
 
 
 def _check_sweep(n_min: int, n_max: int, include_nonbipartite: bool = True) -> None:
@@ -86,31 +87,25 @@ def _map(fn, keys, jobs: int) -> list:
     return [fn(key) for key in keys]
 
 
-def _census_row(key: tuple[int, int], with_oracle: bool) -> CensusRow:
-    n, k = key
-    c = classify(GpParams(n, k))
+def _census_row(p: GpParams, with_oracle: bool) -> CensusRow:
+    c = classify(p)
     involution = ",".join(c.involution_words())
     quotient_label = ";".join(q.label() for q in c.quotients)
     notes = ""
     if c.case is Case.EXCEPTIONAL_8_3:
         involution = quotient_label = "(none)"
         notes = NOTE_8_3
-    if not with_oracle:
-        return CensusRow(
-            n, k, c.case.value, involution, quotient_label, None, None, None, notes
-        )
-
-    classes, checks = _compare(c)
-    agree = all(check.passed for check in checks)
-    if not agree:
-        payload = ";".join("g6:" + encode_graph6(q) for q in classes)
-        notes = (notes + " | " if notes else "") + (
-            f"disagreement: oracle classes [{payload or 'none'}]"
-        )
-    return CensusRow(
-        n, k, c.case.value, involution, quotient_label,
-        bool(classes), len(classes), agree, notes,
-    )
+    oracle_cover = oracle_classes = agree = None
+    if with_oracle:
+        classes, checks = _compare(c)
+        oracle_cover, oracle_classes = bool(classes), len(classes)
+        agree = all(check.passed for check in checks)
+        if not agree:
+            payload = ";".join("g6:" + encode_graph6(q) for q in classes)
+            disagreement = f"disagreement: oracle classes [{payload or 'none'}]"
+            notes = f"{notes} | {disagreement}" if notes else disagreement
+    return CensusRow(p.n, p.k, c.case.value, involution, quotient_label,
+                     oracle_cover, oracle_classes, agree, notes)
 
 
 def census(
@@ -253,8 +248,8 @@ def _round_trip(g: Graph, involutions: list[Perm], cover: Graph) -> bool:
     return False
 
 
-def _verify_pair(key: tuple[int, int]) -> list[VerifyCheck]:
-    return _compare(classify(GpParams(*key)))[1]
+def _verify_pair(p: GpParams) -> list[VerifyCheck]:
+    return _compare(classify(p))[1]
 
 
 def verify(n_max: int, jobs: int = 1) -> VerifyReport:

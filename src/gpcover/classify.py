@@ -8,7 +8,7 @@ Decision structure:
 * n = 0 (mod 4), k odd -> cover iff k^2 = 1 (mod n) with even quotient
   Q = (k^2-1)/n, via a rim-switching involution, quotient a ring-plus-
   matching LCF graph;
-* GP(10,3) -> the unique double case (two non-isomorphic quotients);
+* GP(10,3) -> the one double case: the A2 half-turn quotient plus H via delta;
 * GP(8,3) -> not a cover: the closed form nominally includes it, but its
   candidate involution fixes spokes and the candidate quotient sequence
   contains zero jumps (Q = 1 is odd, so the B rule excludes it as well).
@@ -164,7 +164,11 @@ class Classification:
     k: int
     case: Case
     quotients: tuple[QuotientDesc, ...]
-    canonical_involution: Optional[WordTriple]
+
+    @property
+    def canonical_involution(self) -> Optional[WordTriple | str]:
+        """The first quotient's involution, or None without a quotient."""
+        return self.quotients[0].via if self.quotients else None
 
     @property
     def covered(self) -> bool:
@@ -178,36 +182,24 @@ class Classification:
 def classify(p: GpParams) -> Classification:
     """Apply the closed-form decision; see the module docstring."""
     n, k = p.n, p.k
-    if (n, k) == (10, 3):
-        half = WordTriple(5, 0, 0)
-        return Classification(
-            n, k, Case.EXCEPTIONAL_10_3,
-            (
-                QuotientDesc("gp", 5, 2, via=half),
-                QuotientDesc("h", via="delta"),
-            ),
-            half,
-        )
     if (n, k) == (8, 3):
-        return Classification(n, k, Case.EXCEPTIONAL_8_3, (), None)
-    if n % 2 == 1 or k % 2 == 0:
-        return Classification(n, k, Case.NOT_BIPARTITE, (), None)
+        return Classification(n, k, Case.EXCEPTIONAL_8_3, ())
+    if not p.bipartite:
+        return Classification(n, k, Case.NOT_BIPARTITE, ())
     if n % 4 == 2:
-        half = WordTriple(n // 2, 0, 0)
-        if 4 * k < n:
-            desc = QuotientDesc("gp", n // 2, k, via=half)
-            return Classification(n, k, Case.A1, (desc,), half)
-        desc = QuotientDesc("gp", n // 2, n // 2 - k, via=half)
-        return Classification(n, k, Case.A2, (desc,), half)
+        case, m = (Case.A1, k) if 4 * k < n else (Case.A2, n // 2 - k)
+        quotients = (QuotientDesc("gp", n // 2, m, via=WordTriple(n // 2, 0, 0)),)
+        if (n, k) == (10, 3):  # the A2 quotient GP(5,2), and H via Delta
+            return Classification(n, k, Case.EXCEPTIONAL_10_3,
+                                   quotients + (QuotientDesc("h", via="delta"),))
+        return Classification(n, k, case, quotients)
     # n = 0 (mod 4): cover iff n | (k^2-1)/2, i.e. k^2 = 1 (mod n) and Q even.
     q = q_value(n, k)
     if q is None or q % 2:
-        return Classification(n, k, Case.NO_COVER, (), None)
+        return Classification(n, k, Case.NO_COVER, ())
     family = _FAMILY_OF_K_MOD_4[k % 4]
     tri = WordTriple(n // 2, family.b, 1)
-    return Classification(
-        n, k, family.case, (QuotientDesc(family.kind, n, k, via=tri),), tri
-    )
+    return Classification(n, k, family.case, (QuotientDesc(family.kind, n, k, via=tri),))
 
 
 def _family_of_b_case(p: GpParams) -> _BFamily:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .graphs import Graph, _at_least, _from_pairs, _integer, graph
-from .perms import Perm, _ring_size, reflection, rim_swap, rotation
+from .perms import Perm, _gamma_is_automorphism, _ring_size, reflection, rim_swap, rotation
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,11 @@ class GpParams:
         _at_least("k", self.k, 1)
         if 2 * self.k >= self.n:
             raise ValueError(f"k={self.k} violates k < n/2 for n={self.n}")
+
+    @property
+    def bipartite(self) -> bool:
+        """Whether GP(n,k) is bipartite: n even and k odd (see :func:`gp`)."""
+        return self.n % 2 == 0 and self.k % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ def gp(p: GpParams) -> Graph:
     # u_i to v_i, so u_i -> i mod 2, v_i -> (i + 1) mod 2 is proper, with u_0
     # coloured 0; otherwise an odd n makes the ring an odd cycle, and an even
     # k the cycle u_0 ... u_k v_k v_0 of length k + 3.
-    colouring = (0, 1) * (n // 2) + (1, 0) * (n // 2) if n % 2 == 0 and k % 2 else None
+    colouring = (0, 1) * (n // 2) + (1, 0) * (n // 2) if p.bipartite else None
     return _from_pairs(2 * n, edges, components=(tuple(range(2 * n)),), colouring=colouring,
                        automorphisms=partial(_gp_generators, n, k))
 
@@ -123,7 +128,7 @@ def _gp_generators(n: int, k: int) -> tuple[tuple[str, Perm], ...]:
     exceptional (n,k), whose group is larger (Frucht, Graver & Watkins
     1971)."""
     named = [("α", rotation(n)), ("β", reflection(n))]
-    if k * k % n in (1, n - 1):
+    if _gamma_is_automorphism(n, k):
         named.append(("γ", rim_swap(n, k)))
     return tuple(named)
 

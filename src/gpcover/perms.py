@@ -121,13 +121,18 @@ def _affine(n: int, t: int, a: int, swap: bool) -> Perm:
     return tuple(other + ring if swap else ring + other)
 
 
+def _gamma_is_automorphism(n: int, k: int) -> bool:
+    """Whether gamma is an automorphism of GP(n,k): k^2 = +-1 (mod n)."""
+    return k * k % n in (1, n - 1)
+
+
 def from_triple(n: int, k: int, t: WordTriple) -> Perm:
     """Evaluate alpha^a beta^b gamma^c as a permutation of the 2n GP vertices."""
     k = _integer("k", k)
     if not isinstance(t, WordTriple):
         raise ValueError(f"word {t!r} is not a WordTriple")
     perm = _affine(n, t.step(k), t.a, bool(t.c))  # refuses a bad n before the test
-    if t.c and k * k % n not in (1, n - 1):
+    if t.c and not _gamma_is_automorphism(n, k):
         raise ValueError(f"gamma is not an automorphism of GP({n},{k}): "
                          f"k^2 = {k * k % n} is not +-1 (mod {n})")
     return perm

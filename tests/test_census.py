@@ -10,11 +10,12 @@ from gpcover.oracle import SearchBoundExceeded, is_isomorphic, kronecker_involut
 from gpcover.classify import Case, Classification, QuotientDesc
 from gpcover.covers import _cover_map, kronecker_cover, kronecker_involution_failure, quotient
 from gpcover.families import GpParams, gp
-from gpcover.graphs import graph
+from gpcover.graphs import Graph, bipartition, graph
 from gpcover.perms import WordTriple, from_triple
 from gpcover.census import (
     CSV_COLUMNS,
     _compare,
+    _keys,
     _round_trip,
     census,
     rows_to_csv,
@@ -36,6 +37,17 @@ class TestCensus:
         rows = census(3, 10, include_nonbipartite=True)
         assert any(r.case == "NotBipartite" for r in rows)
         assert any((r.n, r.k) == (5, 2) for r in rows)
+
+    def test_bipartite_keys_are_those_a_search_two_colours(self):
+        # GpParams.bipartite is the one parity rule; the breadth-first search
+        # on a twin of GP(n,k) that records no colouring is a second route.
+        every = list(_keys(3, 60))
+        assert [(p.n, p.k) for p in every] == [
+            (n, k) for n in range(3, 61) for k in range(1, (n - 1) // 2 + 1)
+        ]
+        assert len(every) == 870
+        colourable = [p for p in every if bipartition(Graph(2 * p.n, gp(p).edges)) is not None]
+        assert list(_keys(3, 60, False)) == colourable
 
     def test_row_18_3(self):
         row = next(r for r in census(18, 18, with_oracle=True) if r.k == 3)
@@ -257,7 +269,7 @@ class TestVerify:
     def test_quotient_that_cannot_be_built_fails_its_check(self):
         # A hand-built B2 classification of GP(8,3): its C-(8,3) has zero
         # jumps, so materialize() fails and the check reports why.
-        c = Classification(8, 3, Case.B2, (QuotientDesc("cminus", 8, 3),), None)
+        c = Classification(8, 3, Case.B2, (QuotientDesc("cminus", 8, 3),))
         check = next(ch for ch in _compare(c)[1] if ch.name == "quotient_iso[C-(8,3)]")
         assert not check.passed
         assert check.detail == "invalid LCF spec: zero jump at positions [1, 3, 5, 7]"
@@ -265,7 +277,7 @@ class TestVerify:
     def test_false_cover_claim_names_the_failed_clause(self):
         # A forged B1 classification of GP(8,3) whose involution is gamma,
         # u_i -> v_{3i}: it sends u_0 to its spoke neighbour v_0.
-        c = Classification(8, 3, Case.B1, (QuotientDesc("cplus", 8, 3),), WordTriple(0, 0, 1))
+        c = Classification(8, 3, Case.B1, (QuotientDesc("cplus", 8, 3, via=WordTriple(0, 0, 1)),))
         check = _compare(c)[1][0]
         assert (check.name, check.passed) == ("existence", False)
         assert check.detail == (

@@ -102,6 +102,10 @@ class TestClassify:
         assert c.involution_words() == ["α⁵", "Δ"]
         assert c.involution_words(ascii_only=True) == ["a^5", "D"]
         assert c.covered is True
+        assert c.quotients == (
+            QuotientDesc("gp", 5, 2, via=WordTriple(5, 0, 0)), QuotientDesc("h", via="delta"),
+        )
+        assert c.canonical_involution == WordTriple(5, 0, 0)
 
     def test_exceptional_8_3_delegates(self):
         c = classify(GpParams(8, 3))

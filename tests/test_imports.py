@@ -12,6 +12,7 @@ binds ``b``; ``from a import b`` binds ``b``.  ``__init__.py`` is exempt
 ``from __future__ import ...``.
 """
 import ast
+import importlib
 import inspect
 import re
 import subprocess
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import gpcover
 from gpcover import graphs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,6 +112,18 @@ def test_detector_flags_function_local_package_imports():
         "        from ..gpcover import covers\n"
     )
     assert local_package_imports(source) == ["f:4", "f:5", "f:6", "f:10", "h:14"]
+
+
+# The package re-exports the functions census and classify under the names
+# of their modules, so the attribute gpcover.census is the function (and
+# ``import gpcover.census as m`` binds it); importlib reaches the module.
+
+
+@pytest.mark.parametrize("name", ["census", "classify"])
+def test_a_module_hidden_by_its_function_is_reached_by_import_module(name):
+    module = importlib.import_module(f"gpcover.{name}")
+    assert inspect.ismodule(module)
+    assert getattr(module, name) is getattr(gpcover, name)
 
 
 # Graphs are built only through graphs.graph, which checks its input, or
