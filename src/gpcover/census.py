@@ -97,7 +97,7 @@ def _census_row(p: GpParams, with_oracle: bool) -> CensusRow:
         notes = NOTE_8_3
     oracle_cover = oracle_classes = agree = None
     if with_oracle:
-        classes, checks = _compare(c)
+        classes, checks = _compare(p, c)
         oracle_cover, oracle_classes = bool(classes), len(classes)
         agree = all(check.passed for check in checks)
         if not agree:
@@ -176,13 +176,14 @@ class VerifyReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _compare(c: Classification) -> tuple[list[Graph], list[VerifyCheck]]:
-    """The oracle's quotient classes for GP(c.n, c.k), and the checks of the
-    classification against them: cover existence, quotient class count,
+def _compare(p: GpParams, c: Classification) -> tuple[list[Graph], list[VerifyCheck]]:
+    """The oracle's quotient classes for GP(n,k), and the checks of its
+    classification c against them: cover existence, quotient class count,
     isomorphism of each symbolic quotient with an oracle class, and the
-    cover round trip of each class, by :func:`_round_trip`."""
-    n, k = c.n, c.k
-    g = gp(GpParams(n, k))
+    cover round trip of each class, by :func:`_round_trip`.  p is the
+    caller's validated (n,k), so each pair is validated once."""
+    n, k = p.n, p.k
+    g = gp(p)
     involutions = kronecker_involutions(g)
     oracle_cover = bool(involutions)
     classes = quotients_up_to_iso(g)
@@ -249,7 +250,7 @@ def _round_trip(g: Graph, involutions: list[Perm], cover: Graph) -> bool:
 
 
 def _verify_pair(p: GpParams) -> list[VerifyCheck]:
-    return _compare(classify(p))[1]
+    return _compare(p, classify(p))[1]
 
 
 def verify(n_max: int, jobs: int = 1) -> VerifyReport:

@@ -3,14 +3,18 @@
 Cover labeling: vertex v of the base graph splits into v' = v and
 v'' = v + n0 where n0 is the base vertex count, and each base edge uv
 becomes the pair {u, v+n0}, {u+n0, v}.
+
+A covering involution is checked, and its quotient built, by one pass over
+the graph's edges (:func:`_orbit_pairs`), which both
+:func:`kronecker_involution_failure` and :func:`quotient` call.
 """
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from operator import eq
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
-from .graphs import Graph, _at_least, _colouring, _components, _from_pairs
+from .graphs import Edge, Graph, _at_least, _colouring, _components, _from_pairs
 from .perms import Perm, _maps_edges_into, is_permutation
 
 
@@ -21,15 +25,21 @@ class NotKroneckerInvolution(ValueError):
 def kronecker_cover(g: Graph) -> Graph:
     """The tensor product with a single edge; always bipartite, doubles |V| and |E|."""
     n0 = g.vertex_count
-    # Each base edge u < v < n0 gives two distinct pairs, each normalised
-    # with its first end below n0 and its second at or above.  Every edge
-    # joins some x' < n0 to some y'' >= n0, so colouring v' with 0 and v''
-    # with 1 is proper; with no isolated base vertex each v'' has a
-    # neighbour x', so each component's least vertex is some x' of colour 0.
-    # An isolated x leaves {x''} alone with colour 0: then let the search
-    # colour the cover.
-    edges = [(u, v + n0) for u, v in g.edges] + [(v, u + n0) for u, v in g.edges]
-    if len(set(chain.from_iterable(g.edges))) < n0:
+    # Each base edge u < v < n0 gives the two pairs (u, v''), (v, u''), each
+    # with its first end below n0 and its second at or above.  Filled from
+    # g's sorted edges, each vertex x's list of pairs (x, y'') ascends in y,
+    # so the lists, joined in vertex order, are in the canonical order.
+    pairs: list[list[Edge]] = [[] for _ in range(n0)]
+    for u, v in g.edges:
+        pairs[u].append((u, v + n0))
+        pairs[v].append((v, u + n0))
+    edges = chain.from_iterable(pairs)
+    # Every edge joins some x' < n0 to some y'' >= n0, so colouring v' with
+    # 0 and v'' with 1 is proper; with no isolated base vertex each v'' has
+    # a neighbour x', so each component's least vertex is some x' of colour
+    # 0.  An isolated x (an empty list) leaves {x''} alone with colour 0:
+    # then let the search colour the cover.
+    if not all(pairs):
         return _from_pairs(2 * n0, edges)
     return _from_pairs(2 * n0, edges, colouring=(0,) * n0 + (1,) * n0)
 
@@ -43,29 +53,14 @@ def natural_swap(base_vertex_count: int) -> Perm:
 def kronecker_involution_failure(g: Graph, p: Sequence[int]) -> Optional[str]:
     """None if p is a Kronecker involution of g, else the first failed clause.
 
-    Clauses: g connected; g bipartite; p an automorphism; p an involution;
-    no fixed vertex; color-reversing; no vertex mapped to a neighbor (a
-    fixed edge would become a loop in the quotient, so the projection
-    would not be a covering).
+    Clauses, in this order: p a permutation of g's vertices; g connected; g
+    bipartite; p an automorphism; p an involution; no fixed vertex;
+    color-reversing; no vertex mapped to a neighbor (a fixed edge would
+    become a loop in the quotient, so the projection would not be a
+    covering).  One pass over g's edges, :func:`_orbit_pairs`, decides the
+    automorphism and fixed-edge clauses; see there.
     """
-    if len(p) != g.vertex_count or not is_permutation(p):
-        return "not a vertex permutation of g"
-    if len(_components(g)) > 1:
-        return "graph is not connected"
-    colors = _colouring(g)
-    if colors is None:
-        return "graph is not bipartite"
-    if not _maps_edges_into(g, p, set(g.edges)):  # p is a permutation, checked above
-        return "not an automorphism"
-    if any(p[p[x]] != x for x in range(g.vertex_count)):
-        return "not an involution"
-    if any(map(eq, p, range(g.vertex_count))):
-        return "has a fixed vertex"
-    if any(map(eq, map(colors.__getitem__, p), colors)):
-        return "not color-reversing"
-    if any(p[u] == v for u, v in g.edges):
-        return "maps a vertex to a neighbor (fixed edge)"
-    return None
+    return _orbit_pairs(g, p)[0]
 
 
 def is_kronecker_involution(g: Graph, p: Sequence[int]) -> bool:
@@ -77,35 +72,113 @@ def quotient(g: Graph, p: Perm) -> Graph:
 
     Orbits are labeled by the rank of their minimum element, so the result
     is deterministic.  The cover of the result is isomorphic to g again.
+    The quotient's edges are the distinct orbit pairs of g's edges, which
+    the clause check of :func:`kronecker_involution_failure` has already
+    listed: one pass over g's edges both checks p and builds the quotient.
     """
-    failure = kronecker_involution_failure(g, p)
+    failure, keys = _orbit_pairs(g, p)
     if failure is not None:
         raise NotKroneckerInvolution(f"not a Kronecker involution: {failure}")
-    orbit = _orbits(p)
-    colors = _colouring(g)
-    # p passed the clause checker, so the edge {orbit(x), orbit(y)} has just
-    # the two preimages {x, y} and {p(x), p(y)}, and colour reversal makes
-    # their colour-0 ends lie in opposite orbits: keep the one whose
-    # colour-0 end has the lower orbit, which gives each edge once, normalised.
-    edges = []
-    for u, v in g.edges:
-        a, b = (orbit[v], orbit[u]) if colors[u] else (orbit[u], orbit[v])
-        if a < b:
-            edges.append((a, b))
     # g is connected and bipartite and p a covering involution, so the
     # cover of the result is isomorphic to g and connected: a non-empty
     # result is connected, and not bipartite, or its cover would have two
     # components.
     n = g.vertex_count // 2
+    edges = map(divmod, sorted(keys), repeat(n))
     if n == 0:
         return _from_pairs(0, edges)
     return _from_pairs(n, edges, components=(tuple(range(n)),), colouring=None)
 
 
+def _orbit_pairs(g: Graph, p: Sequence[int]) -> tuple[Optional[str], Collection[int]]:
+    """The first clause of :func:`kronecker_involution_failure` that p
+    fails, or None, and, when p passes, the quotient's edges: the distinct
+    pairs a < b of orbits joined by an edge of g, as keys a * (n/2) + b.
+
+    The permutation, connected and bipartite clauses come first, then the
+    three vertex clauses: involution, no fixed vertex, colour-reversing.  A
+    map that fails one of those is tested for the automorphism clause,
+    which comes before them, by whether it sends each edge into g's edge
+    set, so it reports the first clause it fails in the documented order.
+
+    A map that passes them is tested by counting instead.  Each edge of g
+    goes to its unordered pair of orbits {x, p(x)} (ranked as by
+    :func:`_orbits`); a loop pair is an edge {x, p(x)}, a fixed edge.
+    Between two orbits {x, p(x)} and {y, p(y)} with x and y of colour 0,
+    only {x, p(y)} and {p(x), y} can be edges, since g is bipartite and p
+    reverses colours, and p swaps those two.  So p maps g's edges onto
+    themselves, that is, p is an automorphism, exactly when each non-loop
+    pair has both of its edges: when the distinct non-loop pairs number
+    half the non-loop edges.  Then the distinct pairs are the quotient's
+    edges, each once."""
+    n = g.vertex_count
+    if len(p) != n or not is_permutation(p):
+        return "not a vertex permutation of g", ()
+    if len(_components(g)) > 1:
+        return "graph is not connected", ()
+    colors = _colouring(g)
+    if colors is None:
+        return "graph is not bipartite", ()
+    orbit = _covering_orbits(p, colors)
+    if orbit is None:
+        failure = _vertex_failure(p, colors)
+        if not _maps_edges_into(g, p, set(g.edges)):  # p is a permutation, checked above
+            failure = "not an automorphism"
+        return failure, ()
+    half = n // 2
+    keys = set()
+    loops = 0
+    for u, v in g.edges:
+        a, b = orbit[u], orbit[v]
+        if a < b:
+            keys.add(a * half + b)
+        elif b < a:
+            keys.add(b * half + a)
+        else:
+            loops += 1
+    if 2 * len(keys) != len(g.edges) - loops:
+        return "not an automorphism", ()
+    if loops:
+        return "maps a vertex to a neighbor (fixed edge)", ()
+    return None, keys
+
+
+def _covering_orbits(p: Sequence[int], colors: Sequence[int]) -> Optional[list[int]]:
+    """The labelling of :func:`_orbits` if the permutation p passes the
+    vertex clauses of :func:`_vertex_failure`, else None, in one walk.
+    Where p(x) > x, p(p(x)) = x must hold: the least vertex of a longer
+    cycle fails it, so with no fixed vertex p is an involution, and each
+    orbit {x, p(x)} is tested for colour reversal once, from x."""
+    orbit = [0] * len(p)
+    rank = 0
+    for x, y in enumerate(p):
+        if x < y:
+            if p[y] != x or colors[x] == colors[y]:
+                return None
+            orbit[x] = orbit[y] = rank
+            rank += 1
+        elif x == y:
+            return None
+    return orbit
+
+
+def _vertex_failure(p: Sequence[int], colors: Sequence[int]) -> Optional[str]:
+    """The first of the vertex clauses that the permutation p fails, or
+    None: an involution, with no fixed vertex, colour-reversing."""
+    if any(p[y] != x for x, y in enumerate(p)):
+        return "not an involution"
+    if any(map(eq, p, range(len(p)))):
+        return "has a fixed vertex"
+    if any(map(eq, map(colors.__getitem__, p), colors)):
+        return "not color-reversing"
+    return None
+
+
 def _orbits(p: Sequence[int]) -> list[int]:
     """Each vertex's orbit {x, p(x)} under the fixed-point-free involution
     p, labelled by the rank of the orbit's minimum element: the vertex
-    labelling of :func:`quotient`."""
+    labelling of :func:`quotient`, which :func:`_covering_orbits` computes
+    while it checks p.  This one checks nothing, for :func:`_cover_map`."""
     orbit = [0] * len(p)
     rank = 0
     for x, y in enumerate(p):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import index
 
 from .graphs import Graph, _at_least, _from_pairs, _integer, graph
 from .perms import Perm, _gamma_is_automorphism, _ring_size, reflection, rim_swap, rotation
@@ -49,7 +50,13 @@ class LcfSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _ring_size(self.n))
-        jumps = tuple(_integer(f"jumps[{i}]", j) for i, j in enumerate(self.jumps))
+        jumps = tuple(self.jumps)
+        try:
+            jumps = tuple(map(index, jumps))
+        except TypeError:
+            for i, j in enumerate(jumps):  # name the first bad jump
+                _integer(f"jumps[{i}]", j)
+            raise
         object.__setattr__(self, "jumps", jumps)
         if len(self.jumps) != self.n:
             raise ValueError(f"expected {self.n} jumps, got {len(self.jumps)}")
@@ -87,12 +94,16 @@ def lcf(spec: LcfSpec) -> Graph:
         raise ValueError("invalid LCF spec: " + "; ".join(problems))
     n = spec.n
     # The spec passed lcf_violations, so the chords are a perfect matching
-    # that meets no ring edge: with each chord from its lower end, the
-    # normalised pairs are distinct.
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges.append((0, n - 1))
+    # that meets no ring edge: each chord's ends differ by 2 to n - 2.  So
+    # vertex by vertex, in the canonical order, vertex 0 has the ring edge
+    # to 1, its chord and the ring edge to n - 1; each later i < n - 1 has
+    # the ring edge to i + 1 and then its chord, if the chord goes up.
     ends = [(i + f) % n for i, f in enumerate(spec.jumps)]
-    edges += [(i, j) for i, j in enumerate(ends) if i < j]
+    edges = [(0, 1), (0, ends[0]), (0, n - 1)]
+    for i in range(1, n - 1):
+        edges.append((i, i + 1))
+        if ends[i] > i:
+            edges.append((i, ends[i]))
     return _from_pairs(n, edges)
 
 
@@ -105,13 +116,18 @@ def gp(p: GpParams) -> Graph:
     that the canonical-form search materializes when it first needs them.
     """
     n, k = p.n, p.k
-    # Normalised pairs, each edge once since 1 <= k < n/2: the ring, the
-    # spokes, and the inner chords {i, i+k} without and with wrap-around.
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges.append((0, n - 1))
-    edges += [(i, n + i) for i in range(n)]
-    edges += [(n + i, n + i + k) for i in range(n - k)]
-    edges += [(n + i, 2 * n - k + i) for i in range(k)]
+    # Normalised pairs, each edge once since 1 <= k < n/2, in the canonical
+    # order, vertex by vertex: u_0's ring edges to u_1 and u_{n-1} and its
+    # spoke; each later u_i's ring edge to u_{i+1} and its spoke (u_{n-1}
+    # has only the spoke); then v_i's inner edges to v_{i+k} and, for i < k,
+    # to v_{i-k} = v_{i+n-k}, which lies above v_{i+k} since k < n - k.
+    edges = [(0, 1), (0, n - 1), (0, n)]
+    for i in range(1, n - 1):
+        edges += (i, i + 1), (i, n + i)
+    edges.append((n - 1, 2 * n - 1))
+    for v in range(n, n + k):
+        edges += (v, v + k), (v, v + n - k)
+    edges += [(v, v + k) for v in range(n + k, 2 * n - k)]
     # Connected: every v_i has a spoke to the ring.  For n even and k odd,
     # ring and inner edges join indices of opposite parity and spokes join
     # u_i to v_i, so u_i -> i mod 2, v_i -> (i + 1) mod 2 is proper, with u_0

@@ -5,6 +5,13 @@ however it was built (see :class:`Graph`), so two Graph values compare equal
 exactly when they are the same labelled graph.  All operations are pure;
 share Graphs freely.
 
+The package's builders construct their graphs through :func:`_from_pairs`,
+which skips :class:`Graph`'s checks and its sort: each builder emits its
+edges in the canonical order itself.  GP(n,k), LCF graphs and Kronecker
+covers list them vertex by vertex, by construction, and the oracle's
+canonical relabelings keep theirs sorted; a quotient and a graph6 decode,
+whose pairs come out of order, sort them once.
+
 Components and the 2-coloring are facts that the package's builders often
 know by construction (GP(n,k) is connected, and bipartite iff n is even and
 k is odd; a Kronecker cover is bipartite; a quotient by a covering
@@ -135,9 +142,10 @@ def _from_pairs(n: int, pairs: Iterable[Edge], *,
                 automorphisms: Optional[Callable[[], Iterable[NamedMap]]] = None) -> Graph:
     """The Graph on n vertices with these edges, built without the checks of
     :class:`Graph`: for the package's builders, whose pairs are valid by
-    construction.  The caller guarantees an int n >= 0 and distinct int
-    pairs (lo, hi) with 0 <= lo < hi < n, in any order; sorting them then
-    gives the canonical order lo * n + hi.  Outside input goes through
+    construction.  The caller guarantees an int n >= 0 and int pairs
+    (lo, hi) with 0 <= lo < hi < n, already in the canonical order:
+    strictly increasing by lo * n + hi, so distinct.  The pairs are kept
+    as given, unsorted and unchecked.  Outside input goes through
     :func:`graph`.
 
     A builder that knows the graph's components or 2-coloring by
@@ -157,7 +165,7 @@ def _from_pairs(n: int, pairs: Iterable[Edge], *,
     :func:`_recorded_automorphisms`)."""
     g = object.__new__(Graph)
     object.__setattr__(g, "vertex_count", n)
-    object.__setattr__(g, "edges", tuple(sorted(pairs)))
+    object.__setattr__(g, "edges", tuple(pairs))
     if components is not None:
         g.__dict__[_components.__name__] = components
     if colouring is not _UNRECORDED:
@@ -394,8 +402,9 @@ def decode_graph6(s: str | bytes) -> Graph:
             edges.append((pos - v * (v - 1) // 2, v))
         i = nonzero.find(1, i + 1)
     # Each set bit is one position u < v < n (the padding check refused any
-    # bit past the last position), so the pairs are distinct and valid.
-    return _from_pairs(n, edges)
+    # bit past the last position), so the pairs are distinct and valid.  The
+    # bit field runs by column v, so sorting gives the canonical order.
+    return _from_pairs(n, sorted(edges))
 
 
 def to_dot(g: Graph) -> str:

@@ -502,7 +502,8 @@ def _canonical_edges(g: Graph) -> tuple[tuple[int, int], ...]:
     for comp in comps:
         idx = {v: i for i, v in enumerate(comp)}
         # comp is a sorted component and idx is increasing on it, so g's
-        # distinct edges inside comp map to distinct valid pairs.
+        # distinct edges inside comp map to distinct valid pairs, still in
+        # the canonical order.
         sub = _from_pairs(len(comp), [(idx[u], idx[v]) for u, v in g.edges if u in idx])
         sub = searched.setdefault(sub, sub)
         pieces.append((len(comp), _least_certificate(sub)[1]))
@@ -512,7 +513,9 @@ def _canonical_edges(g: Graph) -> tuple[tuple[int, int], ...]:
     for size, sub_edges in pieces:
         edges.extend((u + offset, v + offset) for u, v in sub_edges)
         offset += size
-    return tuple(sorted(edges))
+    # Each piece's edges are sorted and lie above every earlier piece's
+    # vertices, so the joined edges are in the canonical order.
+    return tuple(edges)
 
 
 class _Node:

@@ -1,5 +1,7 @@
+import importlib
 import json
 import random
+from collections import Counter
 import re
 from pathlib import Path
 
@@ -243,6 +245,27 @@ class TestOracleBound:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("sweep", [
+        lambda: verify(12),
+        lambda: census(3, 12, with_oracle=True),
+    ], ids=["verify", "census"])
+    def test_each_pair_is_validated_once(self, monkeypatch, sweep):
+        # Every (n,k) with n <= 12 is built as a GpParams once, by _keys,
+        # and handed on: _compare validates none again.  The one extra
+        # construction is the bound check's probe of the largest n, which
+        # runs before any key is listed.
+        census_mod = importlib.import_module("gpcover.census")
+        built = Counter()
+
+        def counting(n, k):
+            built[(n, k)] += 1
+            return GpParams(n, k)
+
+        monkeypatch.setattr(census_mod, "GpParams", counting)
+        sweep()
+        keys = [(n, k) for n in range(3, 13) for k in range(1, (n - 1) // 2 + 1)]
+        assert built == Counter(keys) + Counter([(12, 1)])
+
     def test_small_sweep_passes(self):
         report = verify(14)
         assert report.all_passed, report.failures()
@@ -270,7 +293,7 @@ class TestVerify:
         # A hand-built B2 classification of GP(8,3): its C-(8,3) has zero
         # jumps, so materialize() fails and the check reports why.
         c = Classification(8, 3, Case.B2, (QuotientDesc("cminus", 8, 3),))
-        check = next(ch for ch in _compare(c)[1] if ch.name == "quotient_iso[C-(8,3)]")
+        check = next(ch for ch in _compare(GpParams(8, 3), c)[1] if ch.name == "quotient_iso[C-(8,3)]")
         assert not check.passed
         assert check.detail == "invalid LCF spec: zero jump at positions [1, 3, 5, 7]"
 
@@ -278,7 +301,7 @@ class TestVerify:
         # A forged B1 classification of GP(8,3) whose involution is gamma,
         # u_i -> v_{3i}: it sends u_0 to its spoke neighbour v_0.
         c = Classification(8, 3, Case.B1, (QuotientDesc("cplus", 8, 3, via=WordTriple(0, 0, 1)),))
-        check = _compare(c)[1][0]
+        check = _compare(GpParams(8, 3), c)[1][0]
         assert (check.name, check.passed) == ("existence", False)
         assert check.detail == (
             "classifier=True oracle=False; γ maps a vertex to a neighbor (fixed edge)"

@@ -1,11 +1,14 @@
+import operator
+import random
 import re
+from collections import Counter
 
 import pytest
 
 from gpcover.graphs import bipartition, connected_components, degrees, graph
 from gpcover.families import GpParams, gp
 from gpcover.classify import QuotientDesc
-from gpcover.perms import WordTriple, from_triple, power, rotation
+from gpcover.perms import WordTriple, desargues_half_turn, from_triple, power, rotation
 from gpcover.covers import (
     NotKroneckerInvolution,
     is_kronecker_involution,
@@ -14,7 +17,7 @@ from gpcover.covers import (
     natural_swap,
     quotient,
 )
-from gpcover.oracle import is_isomorphic
+from gpcover.oracle import is_isomorphic, kronecker_involutions
 
 
 class TestKroneckerCover:
@@ -178,3 +181,174 @@ class TestQuotient:
                       ((24, 7), from_triple(24, 7, WordTriple(12, 1, 1)))]:
             g = gp(GpParams(*nk))
             assert len(quotient(g, p).edges) == len(g.edges) // 2
+
+
+def failed_clauses(g, p):
+    """Every clause of ``kronecker_involution_failure`` that p fails, in its
+    documented order, each tested on its own by its definition: the
+    reference for the one pass that decides them.  A clause about p is
+    tested only when p is a permutation, and colour reversal only when g
+    has a 2-colouring."""
+    n = g.vertex_count
+    try:
+        perm = len(p) == n and sorted(map(operator.index, p)) == list(range(n))
+    except TypeError:
+        perm = False
+    colors = bipartition(g)
+    failed = []
+    if not perm:
+        failed.append("not a vertex permutation of g")
+    if len(connected_components(g)) > 1:
+        failed.append("graph is not connected")
+    if colors is None:
+        failed.append("graph is not bipartite")
+    if perm:
+        edges = set(g.edges)
+        if any(tuple(sorted((p[u], p[v]))) not in edges for u, v in g.edges):
+            failed.append("not an automorphism")
+        if any(p[p[x]] != x for x in range(n)):
+            failed.append("not an involution")
+        if any(p[x] == x for x in range(n)):
+            failed.append("has a fixed vertex")
+        if colors is not None and any(colors[p[x]] == colors[x] for x in range(n)):
+            failed.append("not color-reversing")
+        if any(p[u] == v for u, v in g.edges):
+            failed.append("maps a vertex to a neighbor (fixed edge)")
+    return failed
+
+
+def reference_quotient(g, p):
+    """The quotient built edge by edge: orbits {x, p(x)} ranked by their
+    least vertex, and each edge of g contracted to its pair of orbits."""
+    rank = {}
+    for x in range(g.vertex_count):
+        rank.setdefault(min(x, p[x]), len(rank))
+    orbit = [rank[min(x, p[x])] for x in range(g.vertex_count)]
+    return graph(g.vertex_count // 2, [(orbit[u], orbit[v]) for u, v in g.edges])
+
+
+def assert_matches_reference(g, p):
+    """The one-pass checker names the reference's first failed clause, and
+    a map that passes gives the reference quotient; True if it passed."""
+    failed = failed_clauses(g, p)
+    assert kronecker_involution_failure(g, p) == (failed[0] if failed else None), (g, p)
+    if failed:
+        with pytest.raises(NotKroneckerInvolution, match=re.escape(failed[0])):
+            quotient(g, p)
+        return False
+    assert quotient(g, p) == reference_quotient(g, p), (g, p)
+    return True
+
+
+def relabelled(g, perm):
+    return graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def colour_reversing_pairing(rng, colors):
+    """A random fixed-point-free involution that swaps each vertex of colour
+    0 with one of colour 1; it passes every vertex clause."""
+    zeros = [x for x, c in enumerate(colors) if c == 0]
+    ones = [x for x, c in enumerate(colors) if c == 1]
+    rng.shuffle(ones)
+    p = [0] * len(colors)
+    for x, y in zip(zeros, ones):
+        p[x], p[y] = y, x
+    return tuple(p)
+
+
+class TestClausePassMatchesReference:
+    """kronecker_involution_failure and quotient share one pass over g's
+    edges; ``failed_clauses`` and ``reference_quotient`` are the second
+    route."""
+
+    def test_every_word_of_every_gp_to_30(self):
+        passed = 0
+        for n in range(3, 31):
+            for k in range(1, (n - 1) // 2 + 1):
+                g = gp(GpParams(n, k))
+                for a in range(n):
+                    for b in (0, 1):
+                        for c in (0, 1):
+                            try:
+                                p = from_triple(n, k, WordTriple(a, b, c))
+                            except ValueError:  # gamma is no automorphism
+                                continue
+                            passed += assert_matches_reference(g, p)
+        # The search finds 63 covering involutions with n <= 30; all but ten
+        # of GP(10,3)'s, Delta and its conjugates, are words.
+        assert passed == 53
+
+    def test_delta_on_the_desargues_graph(self):
+        assert assert_matches_reference(gp(GpParams(10, 3)), desargues_half_turn())
+
+    def test_relabelled_graphs_and_conjugated_involutions(self):
+        rng = random.Random(5)
+        passed = 0
+        for n, k in [(6, 1), (10, 3), (12, 5), (14, 3), (24, 7), (26, 5)]:
+            g = gp(GpParams(n, k))
+            perm = list(range(2 * n))
+            rng.shuffle(perm)
+            inverse = [0] * len(perm)
+            for x, y in enumerate(perm):
+                inverse[y] = x
+            h = relabelled(g, perm)
+            for w in kronecker_involutions(g):
+                passed += assert_matches_reference(h, tuple(perm[w[inverse[y]]] for y in range(2 * n)))
+        assert passed > 10
+
+    def test_seeded_random_permutations_and_involutions(self):
+        rng = random.Random(17)
+        graphs = [gp(GpParams(n, k)) for n, k in [(6, 1), (8, 3), (10, 3), (12, 5), (9, 2), (20, 9)]]
+        graphs += [kronecker_cover(gp(GpParams(5, 2))), kronecker_cover(gp(GpParams(6, 1)))]
+        graphs += [graph(0, []), graph(2, [(0, 1)]), graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])]
+        kinds = Counter()
+        for g in graphs:
+            n = g.vertex_count
+            colors = bipartition(g)
+            for _ in range(40):
+                shuffled = list(range(n))
+                rng.shuffle(shuffled)
+                pairing = list(range(n))
+                for i in range(0, n - 1, 2):  # an involution, with fixed points if n is odd
+                    x, y = shuffled[i], shuffled[i + 1]
+                    pairing[x], pairing[y] = y, x
+                maps = [("permutation", tuple(shuffled)), ("involution", tuple(pairing))]
+                if colors is not None and 2 * sum(colors) == n:
+                    maps.append(("reversing", colour_reversing_pairing(rng, colors)))
+                for kind, p in maps:
+                    failed = failed_clauses(g, p)
+                    kinds[kind, failed[0] if failed else None] += 1
+                    assert_matches_reference(g, p)
+        # The colour-reversing pairings pass the vertex clauses, so the
+        # count of orbit pairs decides the automorphism clause.
+        assert kinds["reversing", "not an automorphism"] > 100
+        assert kinds["reversing", None] > 0
+        assert {failure for _, failure in kinds} >= {
+            "not an automorphism", "not an involution", "has a fixed vertex",
+            "graph is not connected", "graph is not bipartite", None}
+
+    @pytest.mark.parametrize("label, g, p", [
+        # alpha^7 on GP(14,3) is a covering involution; these break it in
+        # two or more ways at once.
+        ("rotation: not an involution, and no covering", gp(GpParams(14, 3)), rotation(14)),
+        ("identity", gp(GpParams(14, 3)), tuple(range(28))),
+        ("reflection: fixed vertices that keep their colour", gp(GpParams(14, 3)),
+         from_triple(14, 3, WordTriple(0, 1, 0))),
+        ("a transposition of two vertices of one colour", gp(GpParams(14, 3)),
+         (2, 1, 0) + tuple(range(3, 28))),
+        ("a 3-cycle", gp(GpParams(14, 3)), (1, 2, 0) + tuple(range(3, 28))),
+        ("alpha^7 with two orbits swapped", gp(GpParams(14, 3)),
+         tuple(power(rotation(14), 7)[x] for x in (1, 0) + tuple(range(2, 28)))),
+        ("a transposition on a non-bipartite graph", gp(GpParams(10, 2)),
+         (1, 0) + tuple(range(2, 20))),
+        ("a short map of a disconnected graph", kronecker_cover(gp(GpParams(6, 1))), (0, 1)),
+        ("a non-automorphism of a disconnected non-bipartite graph",
+         graph(5, [(0, 1), (1, 2), (0, 2)]), (1, 0, 2, 3, 4)),
+        ("alpha^2: not an involution, and colour-keeping", gp(GpParams(14, 3)),
+         power(rotation(14), 2)),
+        ("alpha^6 on GP(12,5), colour-keeping, with u_0 and u_6 fixed", gp(GpParams(12, 5)),
+         (0,) + power(rotation(12), 6)[1:6] + (6,) + power(rotation(12), 6)[7:]),
+    ])
+    def test_forged_maps_that_fail_several_clauses(self, label, g, p):
+        assert len(failed_clauses(g, p)) >= 2, label
+        assert not assert_matches_reference(g, p)

@@ -139,6 +139,13 @@ class TestLcf:
         with pytest.raises(ValueError, match=re.escape(message)):
             LcfSpec(4, jumps)
 
+    def test_iterator_of_jumps(self):
+        # The jumps are taken once, so a one-shot iterator converts and has
+        # its first bad jump named like any sequence.
+        assert LcfSpec(4, iter((2, 2, 2, 2))) == LcfSpec(4, (2, 2, 2, 2))
+        with pytest.raises(ValueError, match=re.escape("jumps[1] 2.0 is not an integer")):
+            LcfSpec(4, iter((2, 2.0, 2, 2)))
+
     @pytest.mark.parametrize("build", [
         lambda np: LcfSpec(4, [2, 2, 2, 2]),
         lambda np: LcfSpec(np.int64(4), np.full(4, 2)),

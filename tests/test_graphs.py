@@ -10,6 +10,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 from hypothesis import example, given, strategies as st
+from test_imports import TRUSTED_BUILDERS
 
 from gpcover import graphs
 from gpcover.graphs import (
@@ -32,7 +33,7 @@ from gpcover.graphs import (
 from gpcover.classify import Case, classify, involution_family, quotient_lcf
 from gpcover.families import GpParams, gp, lcf
 from gpcover.covers import kronecker_cover, natural_swap, quotient
-from gpcover.oracle import automorphisms, kronecker_involutions
+from gpcover.oracle import automorphisms, canonical_form, kronecker_involutions
 from gpcover.perms import desargues_half_turn, from_triple, is_automorphism
 
 
@@ -263,6 +264,37 @@ class TestBuildersMatchGraph:
             assert_matches_graph(q)
             assert q == g
         assert seen > 50
+
+
+class TestFromPairsContract:
+    """Every call of graphs._from_pairs, which neither sorts nor checks its
+    pairs, gets them valid and already in the canonical order; the
+    ``from_pairs_contract`` fixture asserts it on each call."""
+
+    def test_every_trusted_builder_keeps_the_contract(self, from_pairs_contract):
+        for n in range(3, 41):
+            for k in range(1, (n - 1) // 2 + 1):
+                built_graphs(n, k)
+        rng = random.Random(73)
+        disconnected = [kronecker_cover(gp(GpParams(n, k))) for n, k in [(6, 1), (10, 3), (12, 5)]]
+        disconnected += [graph(5, [(0, 1), (2, 3)]), graph(4, []), graph(7, [(1, 6), (2, 4)])]
+        for _ in range(100):
+            g = random_graph(rng, max_n=40)
+            assert decode_graph6(encode_graph6(g)) == g
+            if not is_connected(g):
+                disconnected.append(g)
+        assert len(disconnected) > 20
+        for g in disconnected:
+            assert len(canonical_form(g)) > 0
+        assert from_pairs_contract == TRUSTED_BUILDERS
+
+    def test_the_fixture_refuses_pairs_out_of_order(self, from_pairs_contract):
+        with pytest.raises(AssertionError, match="out of canonical order"):
+            graphs._from_pairs(3, [(1, 2), (0, 1)])
+        with pytest.raises(AssertionError):
+            graphs._from_pairs(3, [(0, 1), (0, 1)])
+        with pytest.raises(AssertionError):
+            graphs._from_pairs(3, [(1, 0)])
 
 
 class TestConstruction:
@@ -587,6 +619,30 @@ class TestRecordedFacts:
             # The swap v' <-> v'' is a covering involution of the cover.
             q = quotient(cover, natural_swap(n))
             assert recorded_facts_match_search(q) == 2
+
+    def test_covers_with_isolated_vertices_are_coloured_by_the_search(self):
+        # kronecker_cover records v' -> 0, v'' -> 1 only when no base vertex
+        # is isolated; an isolated x leaves {x''} a component whose least
+        # vertex takes colour 0, which the search finds when first asked.
+        rng = random.Random(83)
+        bases = [graph(0, []), graph(1, []), graph(2, []), graph(3, [(0, 1)]),
+                 graph(6, [(1, 5), (2, 5), (3, 4)]), decode_graph6("@")]
+        while len(bases) < 60:
+            g = random_graph(rng, max_n=12)
+            if g.vertex_count > len({x for e in g.edges for x in e}):
+                bases.append(g)
+        for base in bases:
+            cover = kronecker_cover(base)
+            assert_matches_graph(cover)
+            isolated = base.vertex_count > len({x for e in base.edges for x in e})
+            assert ("_colouring" in cover.__dict__) is (not isolated)
+            colors = bipartition(cover)
+            assert all(colors[u] != colors[v] for u, v in cover.edges)
+            assert all(colors[comp[0]] == 0 for comp in connected_components(cover))
+            assert colors == bipartition(Graph(cover.vertex_count, cover.edges))
+        # n0 = 0 has no isolated vertex, and n0 = 1 only an isolated one.
+        assert bipartition(kronecker_cover(graph(0, []))) == []
+        assert bipartition(kronecker_cover(graph(1, []))) == [0, 0]
 
     def test_cover_of_a_graph_with_an_isolated_vertex(self):
         # An isolated base vertex x leaves {x''} a component of its own,
