@@ -6,16 +6,17 @@ becomes the pair {u, v+n0}, {u+n0, v}.
 
 A covering involution is checked, and its quotient built, by one pass over
 the graph's edges (:func:`_orbit_pairs`), which both
-:func:`kronecker_involution_failure` and :func:`quotient` call.
+:func:`kronecker_involution_failure` and :func:`quotient` call.  One walk
+over the map (:func:`_vertex_clauses`) names the first vertex clause it
+fails and labels its orbits; that pass and :func:`_cover_map` read it.
 """
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import eq
 from typing import Collection, Optional, Sequence
 
 from .graphs import Edge, Graph, _at_least, _colouring, _components, _from_pairs
-from .perms import Perm, _maps_edges_into, is_permutation
+from .perms import Perm, is_automorphism, is_permutation
 
 
 class NotKroneckerInvolution(ValueError):
@@ -96,14 +97,15 @@ def _orbit_pairs(g: Graph, p: Sequence[int]) -> tuple[Optional[str], Collection[
     pairs a < b of orbits joined by an edge of g, as keys a * (n/2) + b.
 
     The permutation, connected and bipartite clauses come first, then the
-    three vertex clauses: involution, no fixed vertex, colour-reversing.  A
-    map that fails one of those is tested for the automorphism clause,
-    which comes before them, by whether it sends each edge into g's edge
-    set, so it reports the first clause it fails in the documented order.
+    three vertex clauses: involution, no fixed vertex, colour-reversing,
+    which one walk, :func:`_vertex_clauses`, decides while it labels the
+    orbits.  Only when it names a failure is p tested for the automorphism
+    clause, which comes before them, by :func:`is_automorphism`, so p
+    reports the first clause it fails in the documented order.
 
     A map that passes them is tested by counting instead.  Each edge of g
-    goes to its unordered pair of orbits {x, p(x)} (ranked as by
-    :func:`_orbits`); a loop pair is an edge {x, p(x)}, a fixed edge.
+    goes to its unordered pair of orbits {x, p(x)}, as the walk labelled
+    them; a loop pair is an edge {x, p(x)}, a fixed edge.
     Between two orbits {x, p(x)} and {y, p(y)} with x and y of colour 0,
     only {x, p(y)} and {p(x), y} can be edges, since g is bipartite and p
     reverses colours, and p swaps those two.  So p maps g's edges onto
@@ -119,12 +121,9 @@ def _orbit_pairs(g: Graph, p: Sequence[int]) -> tuple[Optional[str], Collection[
     colors = _colouring(g)
     if colors is None:
         return "graph is not bipartite", ()
-    orbit = _covering_orbits(p, colors)
-    if orbit is None:
-        failure = _vertex_failure(p, colors)
-        if not _maps_edges_into(g, p, set(g.edges)):  # p is a permutation, checked above
-            failure = "not an automorphism"
-        return failure, ()
+    failure, orbit = _vertex_clauses(p, colors)
+    if failure is not None:
+        return (failure if is_automorphism(g, p) else "not an automorphism"), ()
     half = n // 2
     keys = set()
     loops = 0
@@ -143,49 +142,32 @@ def _orbit_pairs(g: Graph, p: Sequence[int]) -> tuple[Optional[str], Collection[
     return None, keys
 
 
-def _covering_orbits(p: Sequence[int], colors: Sequence[int]) -> Optional[list[int]]:
-    """The labelling of :func:`_orbits` if the permutation p passes the
-    vertex clauses of :func:`_vertex_failure`, else None, in one walk.
-    Where p(x) > x, p(p(x)) = x must hold: the least vertex of a longer
-    cycle fails it, so with no fixed vertex p is an involution, and each
-    orbit {x, p(x)} is tested for colour reversal once, from x."""
+def _vertex_clauses(p: Sequence[int], colors: Sequence[int]) -> tuple[Optional[str], list[int]]:
+    """The first vertex clause that the permutation p fails, or None, and
+    each vertex's orbit {x, p(x)}, labelled by the rank of the orbit's
+    least element: the vertex labelling of :func:`quotient`.  One walk over
+    p decides the clauses in their documented order: an involution, with
+    no fixed vertex, colour-reversing.  Where p(x) > x, p(p(x)) = x must
+    hold; the least vertex of any longer cycle fails it, so p is an
+    involution exactly when none fails it.  Then each orbit {x, p(x)} is
+    tested for colour reversal once, from x.  The walk labels every x <
+    p(x), whichever clause p fails."""
     orbit = [0] * len(p)
     rank = 0
+    cycle = fixed = kept = False
     for x, y in enumerate(p):
         if x < y:
-            if p[y] != x or colors[x] == colors[y]:
-                return None
+            if p[y] != x:
+                cycle = True
+            elif colors[x] == colors[y]:
+                kept = True
             orbit[x] = orbit[y] = rank
             rank += 1
         elif x == y:
-            return None
-    return orbit
-
-
-def _vertex_failure(p: Sequence[int], colors: Sequence[int]) -> Optional[str]:
-    """The first of the vertex clauses that the permutation p fails, or
-    None: an involution, with no fixed vertex, colour-reversing."""
-    if any(p[y] != x for x, y in enumerate(p)):
-        return "not an involution"
-    if any(map(eq, p, range(len(p)))):
-        return "has a fixed vertex"
-    if any(map(eq, map(colors.__getitem__, p), colors)):
-        return "not color-reversing"
-    return None
-
-
-def _orbits(p: Sequence[int]) -> list[int]:
-    """Each vertex's orbit {x, p(x)} under the fixed-point-free involution
-    p, labelled by the rank of the orbit's minimum element: the vertex
-    labelling of :func:`quotient`, which :func:`_covering_orbits` computes
-    while it checks p.  This one checks nothing, for :func:`_cover_map`."""
-    orbit = [0] * len(p)
-    rank = 0
-    for x, y in enumerate(p):
-        if x < y:
-            orbit[x] = orbit[y] = rank
-            rank += 1
-    return orbit
+            fixed = True
+    failure = ("not an involution" if cycle else "has a fixed vertex" if fixed
+               else "not color-reversing" if kept else None)
+    return failure, orbit
 
 
 def _cover_map(g: Graph, p: Sequence[int]) -> list[int]:
@@ -193,7 +175,10 @@ def _cover_map(g: Graph, p: Sequence[int]) -> list[int]:
     n0 = |V(g)| / 2.  For a covering involution p of g it is an isomorphism
     of g onto ``kronecker_cover(quotient(g, p))``: an edge {x, y} of g with
     colour-0 end x goes to {orbit(x), orbit(y) + n0}, the cover's edge over
-    the quotient edge {orbit(x), orbit(y)}.  For any other p it need not
-    even be a bijection, so a caller that takes it as a witness checks it."""
+    the quotient edge {orbit(x), orbit(y)}.  The orbit labels are those of
+    :func:`_vertex_clauses`, which labels every x < p(x) whatever p fails.
+    For any other p, phi need not even be a bijection, so a caller that
+    takes it as a witness checks it."""
+    colors = _colouring(g)
     n0 = len(p) // 2
-    return [o + n0 * c for o, c in zip(_orbits(p), _colouring(g))]
+    return [o + n0 * c for o, c in zip(_vertex_clauses(p, colors)[1], colors)]

@@ -348,6 +348,13 @@ class TestClausePassMatchesReference:
          power(rotation(14), 2)),
         ("alpha^6 on GP(12,5), colour-keeping, with u_0 and u_6 fixed", gp(GpParams(12, 5)),
          (0,) + power(rotation(12), 6)[1:6] + (6,) + power(rotation(12), 6)[7:]),
+        # Automorphisms of order 3 that fix u_0, a vertex below their first
+        # 3-cycle: a walk that stopped at the fixed vertex would name the
+        # wrong clause.
+        ("an order-3 automorphism of the cube fixing u_0", gp(GpParams(4, 1)),
+         (0, 3, 7, 4, 1, 2, 6, 5)),
+        ("an order-3 automorphism of GP(10,3) fixing u_0", gp(GpParams(10, 3)),
+         (0, 9, 19, 12, 15, 5, 4, 14, 17, 10, 1, 8, 16, 2, 18, 6, 3, 11, 7, 13)),
     ])
     def test_forged_maps_that_fail_several_clauses(self, label, g, p):
         assert len(failed_clauses(g, p)) >= 2, label
