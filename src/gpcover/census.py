@@ -5,11 +5,12 @@ oracle; :func:`verify` reports its checks and an oracle census row is a view
 of them (it agrees iff every check passes).  The round trip of each quotient
 class is a checked witness, not a search: a covering involution w of g gives
 the explicit map phi(x) = orbit(x) + n0 * colour(x) onto the cover of the
-class, and the check is that phi is a bijection sending g's edges onto the
-cover's edges.  Row computation is a pure function of (n,k), so rows may be
-computed in parallel worker processes and merged in key order; the emitted
-CSV/JSON is byte-identical either way.  The process pool is imported only
-when a sweep starts workers.
+class, and ``perms._is_isomorphism`` decides whether phi is an isomorphism
+of g onto that cover.  Row computation is a pure function of (n,k), so rows
+may be computed in parallel worker processes, which take the keys in
+contiguous runs, and merged in key order; the emitted CSV/JSON is
+byte-identical either way.  The process pool is imported only when a sweep
+starts workers.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .classify import Case, Classification, classify
 from .covers import _cover_map, kronecker_cover, kronecker_involution_failure
 from .oracle import check_bound, is_isomorphic, kronecker_involutions, quotients_up_to_iso
 from .graphs import Graph, _at_least, _integer, encode_graph6
-from .perms import Perm, _maps_edges_into, format_word, from_triple, is_permutation
+from .perms import Perm, _is_isomorphism, format_word, from_triple
 
 CSV_COLUMNS = (
     "n", "k", "case", "involution", "quotient",
@@ -54,7 +55,6 @@ class CensusRow:
 
 def _keys(n_min: int, n_max: int, include_nonbipartite: bool = True):
     """Every valid GpParams, n_min <= n <= n_max, by (n,k); non-bipartite ones only if asked."""
-    n_min, n_max = _integer("n_min", n_min), _integer("n_max", n_max)
     for n in range(max(3, n_min), n_max + 1):
         for k in range(1, (n - 1) // 2 + 1):
             p = GpParams(n, k)
@@ -66,7 +66,6 @@ def _check_sweep(n_min: int, n_max: int, include_nonbipartite: bool = True) -> N
     """Refuse a range whose largest GP(n,k) (2n vertices) is past the
     oracle bound, before any key of :func:`_keys` is listed.  Every even
     n >= 4 has a key, so only n_max and n_max - 1 are tried."""
-    n_min, n_max = _integer("n_min", n_min), _integer("n_max", n_max)
     for n in range(n_max, max(n_min, n_max - 1) - 1, -1):
         if next(_keys(n, n, include_nonbipartite), None):
             check_bound(2 * n)
@@ -75,7 +74,9 @@ def _check_sweep(n_min: int, n_max: int, include_nonbipartite: bool = True) -> N
 
 def _map(fn, keys, jobs: int) -> list:
     """fn over keys, in key order, serially or in at most one worker
-    process per key; jobs, the most workers, must be an integer >= 1."""
+    process per key; jobs, the most workers, must be an integer >= 1.
+    Workers take the keys in contiguous runs, about four runs per worker,
+    so a sweep of many cheap keys does not pay one round trip per key."""
     workers = min(_at_least("jobs", jobs, 1), len(keys))
     if workers > 1:
         # Imported here, not in the header: it loads all of multiprocessing,
@@ -83,7 +84,7 @@ def _map(fn, keys, jobs: int) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, keys))
+            return list(pool.map(fn, keys, chunksize=-(-len(keys) // (4 * workers))))
     return [fn(key) for key in keys]
 
 
@@ -124,6 +125,7 @@ def census(
     SearchBoundExceeded before any row is listed or searched.  Non-integer
     bounds or jobs, and jobs below 1, are ValueErrors naming them.
     """
+    n_min, n_max = _integer("n_min", n_min), _integer("n_max", n_max)
     if with_oracle:
         _check_sweep(n_min, n_max, include_nonbipartite)
     keys = list(_keys(n_min, n_max, include_nonbipartite))
@@ -231,22 +233,13 @@ def _claimed_involution_failure(g: Graph, c: Classification) -> str:
 
 def _round_trip(g: Graph, involutions: list[Perm], cover: Graph) -> bool:
     """Whether cover is isomorphic to g, shown by a checked witness: for
-    some covering involution w of g, the map phi of ``covers._cover_map`` is
-    a bijection (``perms.is_permutation``, the graphs having equally many
-    vertices and equally many edges) that sends every edge of g to an edge
-    of cover.  A bijection maps distinct edges to distinct edges, so with
-    equal counts phi is an isomorphism.  Each oracle class is
-    ``quotient(g, w)`` for one of g's covering involutions w, so its cover
-    always has such a witness; a cover labelled any other way fails, even
-    when it is isomorphic to g."""
-    if (g.vertex_count, len(g.edges)) != (cover.vertex_count, len(cover.edges)):
-        return False
+    some covering involution w of g, ``perms._is_isomorphism`` finds the map
+    phi of ``covers._cover_map`` an isomorphism of g onto cover.  Each
+    oracle class is ``quotient(g, w)`` for one of g's covering involutions
+    w, so its cover always has such a witness; a cover labelled any other
+    way fails, even when it is isomorphic to g."""
     cover_edges = set(cover.edges)
-    for w in involutions:
-        phi = _cover_map(g, w)
-        if is_permutation(phi) and _maps_edges_into(g, phi, cover_edges):
-            return True
-    return False
+    return any(_is_isomorphism(g, _cover_map(g, w), cover, cover_edges) for w in involutions)
 
 
 def _verify_pair(p: GpParams) -> list[VerifyCheck]:
@@ -261,7 +254,8 @@ def verify(n_max: int, jobs: int = 1) -> VerifyReport:
     vertex bound is refused with SearchBoundExceeded before any pair is
     listed or searched, and a bad n_max or jobs with a ValueError naming it.
     """
-    _check_sweep(3, _at_least("n_max", n_max, 3))  # GP(3,1) is the least valid pair
+    n_max = _at_least("n_max", n_max, 3)
+    _check_sweep(3, n_max)  # GP(3,1) is the least valid pair
     groups = _map(_verify_pair, list(_keys(3, n_max)), jobs)
     checks = tuple(c for group in groups for c in group)
     notes = (

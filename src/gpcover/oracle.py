@@ -78,7 +78,7 @@ from .graphs import (
     connected_components, degrees, encode_graph6, is_connected,
 )
 from .covers import is_kronecker_involution, quotient
-from .perms import Perm, _maps_edges_into, is_permutation
+from .perms import Perm, _is_isomorphism
 
 DEFAULT_VERTEX_BOUND = 120
 _BOUND_ENV = "GPCOVER_ORACLE_BOUND"
@@ -695,16 +695,15 @@ def _canonical_search(g: Graph, target: Optional[tuple] = None):
 
 @_once_per_graph
 def _known_automorphisms(g: Graph) -> tuple[Perm, ...]:
-    """The automorphisms that g's builder recorded, kept on g once each has
-    been checked to be a permutation of g's vertices that maps every edge
-    to an edge.  A recorded map that is not raises ValueError naming it, so
-    it never prunes a search.  All the maps are checked against one set of
+    """The automorphisms that g's builder recorded, kept on g once
+    ``perms._is_isomorphism`` has checked each to be an isomorphism of g
+    onto g.  A recorded map that is not raises ValueError naming it, so it
+    never prunes a search.  All the maps are checked against one set of
     g's edges."""
-    n = g.vertex_count
     edge_set = set(g.edges)
     known = []
     for name, p in _recorded_automorphisms(g):
-        if not (len(p) == n and is_permutation(p) and _maps_edges_into(g, p, edge_set)):
+        if not _is_isomorphism(g, p, g, edge_set):
             raise ValueError(f"recorded map {name} is not an automorphism of the graph")
         known.append(tuple(p))
     return tuple(known)

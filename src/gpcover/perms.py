@@ -189,16 +189,21 @@ def is_automorphism(g: Graph, p: Sequence[int]) -> bool:
         raise ValueError(
             f"permutation length {len(p)} != vertex count {g.vertex_count}"
         )
-    return is_permutation(p) and _maps_edges_into(g, p, set(g.edges))
+    return _is_isomorphism(g, p, g, set(g.edges))
 
 
-def _maps_edges_into(g: Graph, p: Sequence[int], edge_set: AbstractSet[Edge]) -> bool:
-    """Whether the vertex map p sends every edge of g into edge_set, the
-    edges of a graph h as a set, which a caller that checks several maps
-    against h builds once.  The caller has checked what p must be: with h
-    = g and p a permutation, this makes p an automorphism."""
+def _is_isomorphism(g: Graph, p: Sequence[int], h: Graph, h_edges: AbstractSet[Edge]) -> bool:
+    """Whether the vertex map p is an isomorphism of g onto h: p has g's
+    vertex count, g and h have equally many vertices and equally many
+    edges, p is a permutation, and p sends every edge of g into h_edges,
+    the edges of h as a set, which a caller that checks several maps
+    against h builds once.  A permutation maps distinct edges to distinct
+    edges, so with equal edge counts it maps g's edges onto h's."""
+    if not (len(p) == g.vertex_count == h.vertex_count
+            and len(g.edges) == len(h.edges) and is_permutation(p)):
+        return False
     for u, v in g.edges:
         pu, pv = p[u], p[v]
-        if ((pu, pv) if pu < pv else (pv, pu)) not in edge_set:
+        if ((pu, pv) if pu < pv else (pv, pu)) not in h_edges:
             return False
     return True

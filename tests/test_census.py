@@ -152,7 +152,12 @@ class TestCensus:
 
 class TestJobs:
     @pytest.fixture
-    def pools(self, monkeypatch):
+    def chunksizes(self):
+        """The chunksize of each map that the pool of ``pools`` serves."""
+        return []
+
+    @pytest.fixture
+    def pools(self, monkeypatch, chunksizes):
         """Replace the process pool, which ``census._map`` imports from
         concurrent.futures only when it starts workers, with one that records
         its max_workers and maps serially; returns the recorded values."""
@@ -168,7 +173,8 @@ class TestJobs:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, keys):
+            def map(self, fn, keys, chunksize=1):
+                chunksizes.append(chunksize)
                 return map(fn, keys)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
@@ -188,6 +194,14 @@ class TestJobs:
     def test_jobs_below_row_count_is_kept(self, pools):
         assert rows_to_csv(census(4, 10, jobs=3)) == rows_to_csv(census(4, 10))
         assert pools == [3]
+
+    def test_many_rows_reach_the_workers_in_runs(self, pools, chunksizes):
+        # 625 rows: each of the two workers takes at least two runs of keys,
+        # not one key per task, and the rows come back in key order.
+        rows = census(4, 100, jobs=2)
+        assert rows_to_csv(rows) == rows_to_csv(census(4, 100))
+        assert pools == [2] and len(chunksizes) == 1
+        assert 1 < chunksizes[0] and 2 * 2 * chunksizes[0] <= len(rows)
 
     @pytest.mark.parametrize("sweep, message", [
         (lambda: verify(2.5), "n_max 2.5 is not an integer"),
@@ -349,6 +363,10 @@ class TestRoundTripWitness:
         assert len(padded.edges) == len(g.edges)
         assert not _round_trip(g, involutions, padded)
         assert not is_isomorphic(padded, g)
+        # The class's own cover with two isolated vertices more keeps every
+        # label, so only the vertex counts refuse it.
+        cover = kronecker_cover(cls)
+        assert not _round_trip(g, involutions, graph(cover.vertex_count + 2, cover.edges))
 
     def test_cover_with_an_edge_more_fails(self):
         # phi still sends every edge of g to an edge; only the counts differ.

@@ -1330,7 +1330,8 @@ class TestRecordedAutomorphisms:
         good = rotation(10)
         swapped = list(good)
         swapped[0], swapped[1] = swapped[1], swapped[0]
-        forgeries = {"ε": swapped, "short": good[:-1], "repeat": good[:-1] + good[:1]}
+        forgeries = {"ε": swapped, "short": good[:-1], "repeat": good[:-1] + good[:1],
+                     "long": good + (20,)}
         for name, p in forgeries.items():
             named = [("α", good), (name, p)]
             forged = _from_pairs(20, g.edges, automorphisms=lambda named=named: named)
